@@ -27,10 +27,10 @@ from .model import (
     ModelConfig,
     NormalizationError,
     OutOfVocabulary,
-    block_key,
-    build_tap_matrix,
+    atomic_open,
     count_params,
     freeze_filters,
+    layer_taps,
     load_checkpoint,
     predict_scores_batch,
     save_checkpoint,
@@ -91,7 +91,7 @@ def _prepare_out_dir(out, force) -> Path:
 
 
 def _write_manifest(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -116,7 +116,6 @@ def _build_parser() -> _Parser:
     tr.add_argument("--seed", type=int, default=42)
     tr.add_argument("--mode", choices=("causal", "circular"), default="causal")
     tr.add_argument("--min-interactions", type=int, default=5)
-    tr.add_argument("--clip-norm", type=float, default=None)
     tr.add_argument("--out", required=True)
     tr.add_argument("--force", action="store_true")
 
@@ -129,7 +128,7 @@ def _build_parser() -> _Parser:
     ev.add_argument("--out", required=True)
     ev.add_argument("--force", action="store_true")
 
-    ex = sub.add_parser("export-filters", help="write per-layer tap magnitudes as CSV")
+    ex = sub.add_parser("export-filters", help="write per-layer applied taps Re(H) as CSV")
     ex.add_argument("--checkpoint", required=True)
     ex.add_argument("--out", required=True)
     ex.add_argument("--force", action="store_true")
@@ -147,30 +146,32 @@ def _build_parser() -> _Parser:
 def cmd_train(args) -> int:
     if not 0.0 <= args.dropout < 1.0:
         raise CliUsageError(f"--dropout must be in [0, 1), got {args.dropout}")
-    out = _prepare_out_dir(args.out, args.force)
     data_path = Path(args.data)
     if not data_path.exists():
         raise DataError(f"data file {data_path} does not exist")
     corpus = load_corpus(data_path, min_interactions=args.min_interactions)
-    model_cfg = ModelConfig(
-        num_items=corpus.num_items,
-        max_len=args.max_len,
-        dim=args.dim,
-        layers=args.layers,
-        num_bases=args.m,
-        filter_order=args.filter_order,
-        dropout=args.dropout,
-        filter_mode=args.mode,
-    )
-    train_cfg = TrainConfig(
-        lr=args.lr,
-        alpha=args.alpha,
-        epochs=args.epochs,
-        batch_size=args.batch,
-        patience=args.patience,
-        seed=args.seed,
-        clip_norm=args.clip_norm,
-    )
+    try:
+        model_cfg = ModelConfig(
+            num_items=corpus.num_items,
+            max_len=args.max_len,
+            dim=args.dim,
+            layers=args.layers,
+            num_bases=args.m,
+            filter_order=args.filter_order,
+            dropout=args.dropout,
+            filter_mode=args.mode,
+        )
+        train_cfg = TrainConfig(
+            lr=args.lr,
+            alpha=args.alpha,
+            epochs=args.epochs,
+            batch_size=args.batch,
+            patience=args.patience,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise CliUsageError(str(exc)) from None
+    out = _prepare_out_dir(args.out, args.force)
     data_sha = _sha256(data_path)
     manifest = {
         "command": "train",
@@ -183,7 +184,6 @@ def cmd_train(args) -> int:
             "batch_size": train_cfg.batch_size,
             "patience": train_cfg.patience,
             "seed": train_cfg.seed,
-            "clip_norm": train_cfg.clip_norm,
         },
         "loss_averaging": "dense next-item targets over each history prefix",
         "data_sha256": data_sha,
@@ -216,6 +216,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.batch < 1:
+        raise CliUsageError(f"--batch must be >= 1, got {args.batch}")
     out = _prepare_out_dir(args.out, args.force)
     params, cfg, meta = load_checkpoint(args.checkpoint)
     data_path = Path(args.data)
@@ -248,23 +250,20 @@ def cmd_export_filters(args) -> int:
     out = _prepare_out_dir(args.out, args.force)
     params, cfg, _ = load_checkpoint(args.checkpoint)
     for layer in range(cfg.layers):
-        taps, _ = build_tap_matrix(
-            params[block_key(layer, "coef")],
-            params[block_key(layer, "basis_re")],
-            params[block_key(layer, "basis_im")],
-        )
-        magnitudes = np.abs(taps)
+        applied = layer_taps(params, layer)[0].real
         path = out / f"filters_layer{layer}.csv"
         with open(path, "w", encoding="utf-8") as fh:
-            for row in magnitudes:
+            for row in applied:
                 fh.write(",".join("%.17g" % v for v in row) + "\n")
-        print(f"wrote {path} ({magnitudes.shape[0]} x {magnitudes.shape[1]})")
+        print(f"wrote {path} ({applied.shape[0]} x {applied.shape[1]})")
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
     if args.repeats < 1:
         raise CliUsageError(f"--repeats must be >= 1, got {args.repeats}")
+    if args.batch < 1:
+        raise CliUsageError(f"--batch must be >= 1, got {args.batch}")
     out = _prepare_out_dir(args.out, args.force)
     params, cfg, _ = load_checkpoint(args.checkpoint)
     rng = np.random.default_rng(args.seed)
@@ -321,7 +320,7 @@ def main(argv=None) -> int:
     except CliUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, CheckpointError, OutOfVocabulary, FileNotFoundError) as exc:
+    except (DataError, CheckpointError, OutOfVocabulary, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NumericError, NormalizationError) as exc:

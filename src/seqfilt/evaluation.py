@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Split, eval_instances
-from .model import ModelConfig, pad_context, predict_scores_batch
+from .model import ModelConfig, freeze_filters, pad_context, predict_scores_batch
 from .nn import InvalidTarget
 
 __all__ = [
@@ -127,13 +127,14 @@ def evaluate(
     mode: str = "test",
     batch_size: int = 256,
     filter_seen: bool = False,
-    frozen_ops=None,
 ) -> EvalReport:
     """Score every user's context, rank the held-out target over the full
-    catalog, and average HR/NDCG at each cutoff."""
+    catalog, and average HR/NDCG at each cutoff.  The filters are frozen
+    once on entry, so every batch runs the real operators."""
     contexts, targets = eval_instances(split, mode)
     if not contexts:
         raise ValueError("empty split")
+    ops = freeze_filters(params, cfg)
     num_empty = sum(1 for c in contexts if len(c) == 0)
     all_ranks = []
     index = np.arange(len(contexts))
@@ -141,7 +142,7 @@ def evaluate(
         chunk = index[start : start + batch_size]
         ids = np.stack([pad_context(contexts[i], cfg.max_len) for i in chunk])
         batch_targets = np.asarray([targets[i] for i in chunk], dtype=np.int64)
-        logits = predict_scores_batch(params, cfg, ids, frozen_ops=frozen_ops)
+        logits = predict_scores_batch(params, cfg, ids, frozen_ops=ops)
         batch_contexts = [contexts[i] for i in chunk]
         all_ranks.append(_batched_ranks(logits, batch_targets, batch_contexts, filter_seen))
     ranks = np.concatenate(all_ranks)

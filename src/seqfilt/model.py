@@ -5,6 +5,15 @@ spectral filter layer followed by a feed-forward layer, each wrapped in
 dropout + residual + layer norm), and scored against the embedding table
 using the final position's representation.
 
+Each filter layer computes y = G x with one real N x N operator,
+G[i, i-k] = Re H[i, k] (causal; circular mode wraps i-k mod N and sums
+the wrapped taps).  Training, validation and frozen inference all run
+this operator; only live (unfrozen, eval-mode) prediction runs the
+paper's frequency-domain transforms from `spectral`, which stay the
+reference it is checked and timed against.  The signal is real, so only
+Re(H) reaches the output: `basis_im` acts only through the basis row
+norms and the orthogonality penalty.
+
 Parameters live in a flat dict of float64 arrays so the optimizer and the
 gradient checks can treat every group uniformly.  Forward passes return
 caches that the matching backward passes consume; there is no tape.
@@ -13,7 +22,10 @@ caches that the matching backward passes consume; there is no tape.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -176,86 +188,61 @@ def build_tap_matrix_backward(cache, d_taps):
 
 
 # ---------------------------------------------------------------------------
-# filter layer
+# filter layer: y = G x, with G[i, col(i, k)] summing Re H[i, k]
 
 
-def _filter_geometry(cfg: ModelConfig):
-    n, k = cfg.max_len, cfg.order
-    size = n + k if cfg.filter_mode == "causal" else n
-    return n, k, size
+def _band(cfg: ModelConfig):
+    """Index set of the filter operator: (row i, shift k, column col(i, k)).
 
-
-def _to_cols(x):
-    # (B, N, D) -> (N, B*D)
-    b, n, d = x.shape
-    return x.transpose(1, 0, 2).reshape(n, b * d), (b, n, d)
-
-
-def _from_cols(x2d, shape):
-    b, n, d = shape
-    return x2d.reshape(n, b, d).transpose(1, 0, 2)
-
-
-def _filter_forward(cfg: ModelConfig, taps, x):
-    """Apply the per-position filter to a (B, N, D) block, via the
-    frequency domain; returns the real output and a backward cache.
-
-    The signal is real, so the complex transforms are carried out as
-    paired real matmuls (the imaginary half of the input is zero and
-    only the real half of the output survives)."""
-    n, k, size = _filter_geometry(cfg)
-    basis = spectral.make_basis(size, k)
+    Causal mode keeps 0 <= i-k (shifts past the first position read the
+    zero padding of the N+K ring); circular mode wraps to (i-k) mod N."""
+    n, width = cfg.max_len, cfg.order + 1
+    rows, shifts = np.divmod(np.arange(n * width), width)
+    cols = rows - shifts
     if cfg.filter_mode == "causal":
-        h = np.zeros((size, k + 1), dtype=complex)
-        h[:n] = taps
+        keep = cols >= 0
+        return rows[keep], shifts[keep], cols[keep]
+    return rows, shifts, cols % n
+
+
+def _tap_operator(cfg: ModelConfig, taps):
+    """Real N x N operator G of a tap matrix; wrapped circular taps are summed."""
+    n = cfg.max_len
+    rows, shifts, cols = _band(cfg)
+    flat = np.bincount(rows * n + cols, weights=taps.real[rows, shifts], minlength=n * n)
+    return flat.reshape(n, n)
+
+
+def _operator_backward(cfg: ModelConfig, op, x, dy):
+    """dx = Gᵀ dy, and the gradient of each applied tap,
+    d_taps[i, k] = Σ_batch (dy xᵀ)[i, col(i, k)]."""
+    rows, shifts, cols = _band(cfg)
+    outer = (dy @ x.transpose(0, 2, 1)).sum(axis=0)
+    d_taps = np.zeros((cfg.max_len, cfg.order + 1))
+    d_taps[rows, shifts] = outer[rows, cols]
+    return op.T @ dy, d_taps
+
+
+def _live_filter(cfg: ModelConfig, taps, x):
+    """The paper's frequency-domain filter on a (B, N, D) block; the
+    reference that frozen operators are timed and checked against."""
+    b, n, d = x.shape
+    cols = x.transpose(1, 0, 2).reshape(n, b * d)
+    if cfg.filter_mode == "causal":
+        y = spectral.causal_filter(n, cfg.order, taps, cols)
     else:
-        h = taps
-    mix = spectral.nv_mixing_matrix(basis, h)
-    # contiguous components: matmul with a strided .real view bypasses BLAS
-    mix_re = np.ascontiguousarray(mix.real)
-    mix_im = np.ascontiguousarray(mix.imag)
-    fwd_re, fwd_im = _basis_components(basis)
-    x2d, shape = _to_cols(x)
-    x_pad = np.zeros((size, x2d.shape[1]))
-    x_pad[:n] = x2d
-    z_re = fwd_re @ x_pad
-    z_im = fwd_im @ x_pad
-    y = (mix_re @ z_re - mix_im @ z_im)[:n]
-    return _from_cols(y, shape), (basis, mix_re, mix_im, z_re, z_im, shape)
+        basis = spectral.make_basis(n, cfg.order)
+        y = (spectral.nv_mixing_matrix(basis, taps) @ basis.gft(cols)).real
+    return y.reshape(n, b, d).transpose(1, 0, 2)
 
 
-def _basis_components(basis, _cache={}):
-    key = (basis.size, basis.order)
-    if key not in _cache:
-        _cache[key] = (
-            np.ascontiguousarray(basis.forward.real),
-            np.ascontiguousarray(basis.forward.imag),
-        )
-        if len(_cache) > 16:
-            _cache.pop(next(iter(_cache)))
-    return _cache[key]
-
-
-def _filter_backward(cfg: ModelConfig, cache, dy):
-    basis, mix_re, mix_im, z_re, z_im, shape = cache
-    n, k, size = _filter_geometry(cfg)
-    dy2d, _ = _to_cols(dy)
-    dy_ext = np.zeros((size, dy2d.shape[1]))
-    dy_ext[:n] = dy2d
-    d_mix = (dy_ext @ z_re.T) - 1j * (dy_ext @ z_im.T)
-    t_re = mix_re.T @ dy_ext
-    t_im = mix_im.T @ dy_ext
-    fwd_re, fwd_im = _basis_components(basis)
-    # inverse transform = conjugate transpose of the forward matrix
-    dx = (fwd_re.T @ t_re - fwd_im.T @ t_im)[:n]
-    d_pow = basis.eigenvectors.conj() * d_mix
-    d_taps = (d_pow @ basis.vandermonde.conj())[:n]
-    return _from_cols(dx, shape), d_taps
-
-
-def _frozen_filter_forward(op, x):
-    y = np.tensordot(op, x, axes=(1, 1))  # (N, B, D)
-    return y.transpose(1, 0, 2)
+def layer_taps(params, layer):
+    """Tap matrix H of one layer, with its backward cache."""
+    return build_tap_matrix(
+        params[block_key(layer, "coef")],
+        params[block_key(layer, "basis_re")],
+        params[block_key(layer, "basis_im")],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +287,12 @@ def _embed_backward(params, cfg, cache, dx, grads):
 def _block_forward(params, cfg, layer, x, rng, training, frozen_op=None):
     eps = cfg.ln_eps
     key = lambda name: params[block_key(layer, name)]
-    if frozen_op is not None:
-        filtered = _frozen_filter_forward(frozen_op, x)
-        tap_cache = filt_cache = None
-    else:
-        taps, tap_cache = build_tap_matrix(
-            key("coef"), key("basis_re"), key("basis_im")
-        )
-        filtered, filt_cache = _filter_forward(cfg, taps, x)
+    op, tap_cache = frozen_op, None
+    if op is None:
+        taps, tap_cache = layer_taps(params, layer)
+        if training:
+            op = _tap_operator(cfg, taps)
+    filtered = _live_filter(cfg, taps, x) if op is None else op @ x
     drop1, mask1 = dropout(filtered, cfg.dropout, rng, training)
     res1 = x + drop1
     f2d, ln1_cache = layer_norm(res1.reshape(-1, cfg.dim), key("ln1_g"), key("ln1_b"), eps)
@@ -317,12 +302,12 @@ def _block_forward(params, cfg, layer, x, rng, training, frozen_op=None):
     drop2_flat, mask2 = dropout(h2, cfg.dropout, rng, training)
     res2 = f2d + drop2_flat
     out2d, ln2_cache = layer_norm(res2, key("ln2_g"), key("ln2_b"), eps)
-    cache = (tap_cache, filt_cache, mask1, ln1_cache, f2d, act, act_cache, mask2, ln2_cache, filtered)
+    cache = (tap_cache, op, x, mask1, ln1_cache, f2d, act, act_cache, mask2, ln2_cache, filtered)
     return out2d.reshape(x.shape), cache
 
 
 def _block_backward(params, cfg, layer, cache, dy, grads):
-    tap_cache, filt_cache, mask1, ln1_cache, f2d, act, act_cache, mask2, ln2_cache, _ = cache
+    tap_cache, op, x, mask1, ln1_cache, f2d, act, act_cache, mask2, ln2_cache, _ = cache
     key = lambda name: params[block_key(layer, name)]
     gkey = lambda name: grads[block_key(layer, name)]
     shape = dy.shape
@@ -345,7 +330,7 @@ def _block_backward(params, cfg, layer, cache, dy, grads):
     gkey("ln1_b")[:] += d_b1
     dx = d_res1.reshape(shape)
     d_filtered = dropout_backward(mask1, dx)
-    dx_filter, d_taps = _filter_backward(cfg, filt_cache, d_filtered)
+    dx_filter, d_taps = _operator_backward(cfg, op, x, d_filtered)
     d_coef, d_bre, d_bim = build_tap_matrix_backward(tap_cache, d_taps)
     gkey("coef")[:] += d_coef
     gkey("basis_re")[:] += d_bre
@@ -398,22 +383,8 @@ def predict_scores(params, cfg, context, frozen_ops=None):
 
 
 def freeze_filters(params, cfg) -> list:
-    """Collapse each layer's trained filter into a dense real operator."""
-    ops = []
-    n, k, size = _filter_geometry(cfg)
-    for layer in range(cfg.layers):
-        taps, _ = build_tap_matrix(
-            params[block_key(layer, "coef")],
-            params[block_key(layer, "basis_re")],
-            params[block_key(layer, "basis_im")],
-        )
-        if cfg.filter_mode == "causal":
-            ops.append(spectral.precompute_operator(n, k, taps))
-        else:
-            basis = spectral.make_basis(n, k)
-            mix = spectral.nv_mixing_matrix(basis, taps)
-            ops.append((mix @ basis.forward).real)
-    return ops
+    """Collapse each layer's trained filter into its real N x N operator G."""
+    return [_tap_operator(cfg, layer_taps(params, layer)[0]) for layer in range(cfg.layers)]
 
 
 def count_params(params) -> int:
@@ -425,6 +396,21 @@ def count_params(params) -> int:
 
 
 _MAGIC = b"SEQFILT-CKPT-V1\n"
+
+
+@contextmanager
+def atomic_open(path, mode="wb", **kwargs):
+    """Write to `path` + ".tmp" in the same directory and move it over
+    `path` only once fully written, so a failed write leaves the old file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_checkpoint(path, params, cfg: ModelConfig, meta=None) -> None:
@@ -442,7 +428,7 @@ def save_checkpoint(path, params, cfg: ModelConfig, meta=None) -> None:
         "total_bytes": offset,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(_MAGIC)
         fh.write(f"{len(blob)}\n".encode("ascii"))
         fh.write(blob)
@@ -462,19 +448,27 @@ def load_checkpoint(path):
             raise CheckpointError(f"{path}: corrupt header length") from exc
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise CheckpointError(f"{path}: corrupt header") from exc
         raw = fh.read()
-    if len(raw) != header["total_bytes"]:
+    try:
+        cfg = ModelConfig.from_dict(header["config"])
+        total_bytes = header["total_bytes"]
+        manifest = header["manifest"].items()
+        meta = header.get("meta", {})
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from exc
+    if len(raw) != total_bytes:
         raise CheckpointError(
-            f"{path}: expected {header['total_bytes']} data bytes, got {len(raw)}"
+            f"{path}: expected {total_bytes} data bytes, got {len(raw)}"
         )
     params = {}
-    for key, entry in header["manifest"].items():
+    for key, entry in manifest:
         shape = tuple(entry["shape"])
         size = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
+        if not 0 <= start <= len(raw) - 8 * size:
+            raise CheckpointError(f"{path}: array {key!r} lies outside the data")
         arr = np.frombuffer(raw, dtype="<f8", count=size, offset=start)
         params[key] = arr.reshape(shape).astype(np.float64, copy=True)
-    cfg = ModelConfig.from_dict(header["config"])
-    return params, cfg, header.get("meta", {})
+    return params, cfg, meta

@@ -9,6 +9,11 @@ give every node its own tap vector; causal filtering of a length-N signal
 embeds it in a ring of N+K nodes padded with zeros so nothing can flow
 backwards in time, and the trained filter collapses to a banded real
 operator for fast inference.
+
+This module is the paper's reference computation and the test oracle:
+`causal_filter`, `precompute_operator` and the `apply_*` filters define
+what the model's real operator must reproduce.  The model calls it only
+on its live prediction path.
 """
 
 from __future__ import annotations

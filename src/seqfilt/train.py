@@ -30,7 +30,6 @@ class TrainConfig:
     batch_size: int = 256
     patience: int = 10
     seed: int = 42
-    clip_norm: float | None = None
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -69,11 +68,11 @@ class TrainLog:
             fh.write(self.to_csv())
 
 
-def loss_and_grads(params, cfg: ModelConfig, ids, targets, alpha, rng=None, training=True):
+def loss_and_grads(params, cfg: ModelConfig, ids, targets, alpha, rng=None):
     """Joint objective over one batch: mean cross-entropy over the batch
     targets plus the orthogonality penalty on every layer's basis.
     Returns (loss, ce, ortho, grads)."""
-    x, cache = model_forward(params, cfg, ids, rng=rng, training=training)
+    x, cache = model_forward(params, cfg, ids, rng=rng, training=True)
     x_last = x[:, -1, :]
     logits = score_logits(params, x_last)
     ce, d_logits = softmax_xent_batch(logits, np.asarray(targets))
@@ -97,14 +96,6 @@ def loss_and_grads(params, cfg: ModelConfig, ids, targets, alpha, rng=None, trai
     if not np.isfinite(loss):
         raise NumericError(f"non-finite loss {loss!r} (ce={ce!r}, ortho={ortho_total!r})")
     return loss, ce, ortho_total, grads
-
-
-def _clip_grads(grads, max_norm):
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if total > max_norm:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
 
 
 def _param_norms(params):
@@ -151,8 +142,6 @@ def fit(
                 raise NumericError(
                     f"epoch {epoch}, batch {batch_no}: {exc}; parameter norms: {norms}"
                 ) from exc
-            if train_cfg.clip_norm is not None:
-                _clip_grads(grads, train_cfg.clip_norm)
             adam_step(params, grads, state)
             ce_sum += ce * len(batch_targets)
             ortho_sum += ortho * len(batch_targets)

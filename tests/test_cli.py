@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from seqfilt import cli
-from seqfilt.model import ModelConfig, init_params, save_checkpoint
+from seqfilt import spectral as sp
+from seqfilt.model import (
+    CheckpointError,
+    ModelConfig,
+    freeze_filters,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from seqfilt.train import make_synthetic
 
 
@@ -21,6 +29,22 @@ def corpus_file(tmp_path_factory):
     ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
+def rewrite_header(path, edit):
+    """Re-emit a checkpoint with `edit` applied to its JSON header."""
+    with open(path, "rb") as fh:
+        magic = fh.readline()
+        header = json.loads(fh.read(int(fh.readline())))
+        raw = fh.read()
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(magic + f"{len(blob)}\n".encode("ascii") + blob + raw)
 
 
 TRAIN_FLAGS = [
@@ -79,6 +103,23 @@ class TestTrain:
         )
         assert code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--max-len", "0"],
+            ["--m", "100", "--max-len", "10"],
+            ["--epochs", "0"],
+            ["--lr", "-1"],
+        ],
+        ids=["max-len-0", "m-above-max-len", "epochs-0", "negative-lr"],
+    )
+    def test_invalid_config_is_usage_error(self, tmp_path, corpus_file, capsys, flags):
+        out = tmp_path / "bad"
+        code = cli.main(["train", "--data", str(corpus_file), "--out", str(out), *flags])
+        assert code == cli.EXIT_USAGE
+        assert_one_line_error(capsys)
+        assert not out.exists()
+
     def test_missing_data_file_is_data_error(self, tmp_path):
         code = cli.main(
             ["train", "--data", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "y")]
@@ -129,6 +170,50 @@ class TestEval:
         )
         assert code == cli.EXIT_DATA
 
+    def test_directory_checkpoint_is_data_error(self, tmp_path, corpus_file, capsys):
+        code = cli.main(
+            [
+                "eval", "--checkpoint", str(tmp_path),
+                "--data", str(corpus_file), "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == cli.EXIT_DATA
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda header: header.pop("total_bytes"),
+            lambda header: header["config"].update(unknown_key=1),
+            lambda header: header["manifest"]["emb"].update(offset=10**6),
+        ],
+        ids=["missing-total-bytes", "unknown-config-key", "offset-past-data"],
+    )
+    def test_malformed_header_is_data_error(self, tmp_path, corpus_file, run_dir, capsys, edit):
+        ckpt = tmp_path / "checkpoint.bin"
+        ckpt.write_bytes((run_dir / "checkpoint.bin").read_bytes())
+        rewrite_header(ckpt, edit)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(ckpt)
+        code = cli.main(
+            [
+                "eval", "--checkpoint", str(ckpt),
+                "--data", str(corpus_file), "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == cli.EXIT_DATA
+        assert_one_line_error(capsys)
+
+    def test_zero_batch_rejected(self, tmp_path, corpus_file, run_dir, capsys):
+        code = cli.main(
+            [
+                "eval", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                "--data", str(corpus_file), "--out", str(tmp_path / "out"), "--batch", "0",
+            ]
+        )
+        assert code == cli.EXIT_USAGE
+        assert_one_line_error(capsys)
+
     def test_wrong_data_rejected(self, tmp_path, run_dir):
         other = tmp_path / "other.txt"
         other.write_text("1 1 2 3\n2 2 3 1\n3 3 1 2\n", encoding="utf-8")
@@ -177,6 +262,29 @@ class TestExportFilters:
             assert values[0] == 1.0 and all(v == 0.0 for v in values[1:])
 
 
+    @pytest.mark.parametrize("mode", ["causal", "circular"])
+    def test_export_rebuilds_frozen_operator(self, tmp_path, mode):
+        # order above max_len, so circular mode sums wrapped taps
+        cfg = ModelConfig(
+            num_items=5, max_len=4, dim=4, layers=2, num_bases=3, filter_order=6, filter_mode=mode
+        )
+        params = init_params(cfg, np.random.default_rng(3))
+        ckpt = tmp_path / "model.bin"
+        save_checkpoint(ckpt, params, cfg)
+        out = tmp_path / "export"
+        assert cli.main(["export-filters", "--checkpoint", str(ckpt), "--out", str(out)]) == 0
+        for layer, op in enumerate(freeze_filters(params, cfg)):
+            taps = np.loadtxt(out / f"filters_layer{layer}.csv", delimiter=",", ndmin=2)
+            if mode == "causal":
+                rebuilt = sp.precompute_operator(4, 6, taps)
+            else:
+                rebuilt = np.zeros((4, 4))
+                for i in range(4):
+                    for k in range(7):
+                        rebuilt[i, (i - k) % 4] += taps[i, k]
+            assert np.abs(rebuilt - op).max() <= 1e-15
+
+
 class TestBench:
     def test_bench_small(self, tmp_path, run_dir):
         out = tmp_path / "bench"
@@ -198,3 +306,13 @@ class TestBench:
             ]
         )
         assert code == cli.EXIT_USAGE
+
+    def test_zero_batch_rejected(self, tmp_path, run_dir, capsys):
+        code = cli.main(
+            [
+                "bench", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                "--batch", "0", "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert code == cli.EXIT_USAGE
+        assert_one_line_error(capsys)

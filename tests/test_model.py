@@ -198,9 +198,24 @@ class TestEncoder:
             params["block0_coef"], params["block0_basis_re"], params["block0_basis_im"]
         )
         x = rng.normal(size=(3, 6, 5))
-        out, _ = mdl._filter_forward(cfg, taps, x)
+        out = mdl._tap_operator(cfg, taps) @ x
         for b in range(3):
             ref = sp.causal_filter(6, 4, taps, x[b])
+            assert np.abs(out[b] - ref).max() <= 1e-12
+
+    def test_circular_operator_matches_spectral_filter(self, rng):
+        # order above max_len, so several shifts wrap onto the same column
+        cfg = tiny_config(max_len=5, filter_order=12, num_bases=3, dim=4, filter_mode="circular")
+        params = mdl.init_params(cfg, rng)
+        taps, _ = mdl.build_tap_matrix(
+            params["block0_coef"], params["block0_basis_re"], params["block0_basis_im"]
+        )
+        x = rng.normal(size=(3, 5, 4))
+        out = mdl._tap_operator(cfg, taps) @ x
+        basis = sp.make_basis(5, 12)
+        mix = sp.nv_mixing_matrix(basis, taps)
+        for b in range(3):
+            ref = (mix @ basis.gft(x[b])).real
             assert np.abs(out[b] - ref).max() <= 1e-12
 
 
@@ -310,6 +325,18 @@ class TestCheckpoint:
         mdl.save_checkpoint(a, params, cfg)
         mdl.save_checkpoint(b, params, cfg)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, rng):
+        cfg = tiny_config()
+        path = tmp_path / "checkpoint.bin"
+        mdl.save_checkpoint(path, mdl.init_params(cfg, rng), cfg)
+        before = path.read_bytes()
+        # the header goes out, then the unconvertible array fails the write
+        broken = {"emb": np.array(["not a number"], dtype=object)}
+        with pytest.raises(ValueError):
+            mdl.save_checkpoint(path, broken, cfg)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -4,6 +4,7 @@ early stopping, determinism, and the synthetic corpus generator."""
 import numpy as np
 import pytest
 
+from conftest import finite_diff, rel_err
 from seqfilt.data import Corpus, split_loo
 from seqfilt.evaluation import evaluate
 from seqfilt.model import ModelConfig, init_params
@@ -41,6 +42,20 @@ class TestLossAndGrads:
             for a in (0.0, 1e-3, 1e-1)
         ]
         assert losses[0] < losses[1] < losses[2]
+
+    def test_circular_gradients_match_finite_differences(self, rng):
+        # filter_order == max_len, so the longest shift wraps onto column i
+        cfg = ModelConfig(
+            num_items=6, max_len=4, dim=3, layers=1, num_bases=2,
+            filter_order=4, dropout=0.0, filter_mode="circular",
+        )
+        params = init_params(cfg, rng)
+        ids = rng.integers(0, 7, size=(3, 4))
+        targets = rng.integers(1, 7, size=3)
+        _, _, _, grads = loss_and_grads(params, cfg, ids, targets, alpha=1e-3)
+        objective = lambda: loss_and_grads(params, cfg, ids, targets, alpha=1e-3)[0]
+        for key in sorted(params):
+            assert rel_err(grads[key], finite_diff(objective, params[key])) <= 1e-4, key
 
     def test_non_finite_loss_aborts(self, rng):
         cfg, params, ids, targets = small_setup(rng)
