@@ -9,6 +9,7 @@ bit-for-bit on the same machine.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -177,14 +178,7 @@ def cmd_train(args) -> int:
         "command": "train",
         "flags": {k: v for k, v in vars(args).items() if k != "command"},
         "model_config": model_cfg.to_dict(),
-        "train_config": {
-            "lr": train_cfg.lr,
-            "alpha": train_cfg.alpha,
-            "epochs": train_cfg.epochs,
-            "batch_size": train_cfg.batch_size,
-            "patience": train_cfg.patience,
-            "seed": train_cfg.seed,
-        },
+        "train_config": dataclasses.asdict(train_cfg),
         "loss_averaging": "dense next-item targets over each history prefix",
         "data_sha256": data_sha,
         "source": _source_id(),
@@ -218,7 +212,6 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if args.batch < 1:
         raise CliUsageError(f"--batch must be >= 1, got {args.batch}")
-    out = _prepare_out_dir(args.out, args.force)
     params, cfg, meta = load_checkpoint(args.checkpoint)
     data_path = Path(args.data)
     if not data_path.exists():
@@ -234,6 +227,7 @@ def cmd_eval(args) -> int:
             f"checkpoint expects {cfg.num_items} items, corpus has {corpus.num_items}"
         )
     split = split_loo(corpus)
+    out = _prepare_out_dir(args.out, args.force)
     report = evaluate(
         split, params, cfg, mode=args.split, batch_size=args.batch, filter_seen=args.filter_seen
     )
@@ -247,8 +241,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_filters(args) -> int:
-    out = _prepare_out_dir(args.out, args.force)
     params, cfg, _ = load_checkpoint(args.checkpoint)
+    out = _prepare_out_dir(args.out, args.force)
     for layer in range(cfg.layers):
         applied = layer_taps(params, layer)[0].real
         path = out / f"filters_layer{layer}.csv"
@@ -264,8 +258,8 @@ def cmd_bench(args) -> int:
         raise CliUsageError(f"--repeats must be >= 1, got {args.repeats}")
     if args.batch < 1:
         raise CliUsageError(f"--batch must be >= 1, got {args.batch}")
-    out = _prepare_out_dir(args.out, args.force)
     params, cfg, _ = load_checkpoint(args.checkpoint)
+    out = _prepare_out_dir(args.out, args.force)
     rng = np.random.default_rng(args.seed)
     ids = rng.integers(1, cfg.num_items + 1, size=(args.batch, cfg.max_len))
     ops = freeze_filters(params, cfg)

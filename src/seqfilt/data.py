@@ -4,15 +4,18 @@ The input format is one user per line: a user id followed by that user's
 item ids in chronological order, all space-separated positive integers.
 Items are remapped to a dense 1..V range (0 is reserved for padding) and
 the mapping is kept so it can be persisted beside checkpoints.
+
+Examples are positions in one flat array of every user's full history
+(prefix, validation item, test item): example j predicts `items[ends[j]]`
+from `items[starts[j]:ends[j]]`, so memory is O(interactions).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
-
-from .model import pad_context
 
 __all__ = [
     "DataError",
@@ -131,35 +134,41 @@ def split_loo(corpus: Corpus) -> Split:
 
 
 def train_examples(split: Split):
-    """Dense next-item pairs: within each history prefix, every position
-    is predicted from the items before it."""
-    contexts, targets = [], []
-    for prefix in split.prefixes:
-        for j in range(1, len(prefix)):
-            contexts.append(prefix[:j])
-            targets.append(prefix[j])
-    return contexts, targets
+    """Dense next-item examples `(items, starts, ends)`: within each
+    history prefix, every position after the first is predicted from the
+    items before it."""
+    items, first, prefix_end = eval_instances(split, "valid")
+    user = np.repeat(np.arange(len(first)), prefix_end - first + 2)
+    pos = np.arange(len(items))
+    ends = np.flatnonzero((pos > first[user]) & (pos < prefix_end[user]))
+    return items, first[user[ends]], ends
 
 
 def eval_instances(split: Split, mode: str):
-    """Evaluation contexts: history prefix for `valid`, prefix plus the
-    validation item for `test` (so the test context is everything but the
-    held-out last item)."""
-    if mode == "valid":
-        return list(split.prefixes), list(split.valid_targets)
-    if mode == "test":
-        contexts = [p + [v] for p, v in zip(split.prefixes, split.valid_targets)]
-        return contexts, list(split.test_targets)
-    raise ValueError(f"mode must be 'valid' or 'test', got {mode!r}")
+    """One example `(items, starts, ends)` per user: the history prefix
+    predicts the validation item (`valid`), prefix plus validation item
+    the test item (`test`)."""
+    if mode not in ("valid", "test"):
+        raise ValueError(f"mode must be 'valid' or 'test', got {mode!r}")
+    rows = zip(split.prefixes, split.valid_targets, split.test_targets)
+    items = np.fromiter(chain.from_iterable(chain(p, (v, t)) for p, v, t in rows), dtype=np.int64)
+    sizes = np.array([len(p) + 2 for p in split.prefixes], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    return items, starts, starts + sizes - (2 if mode == "valid" else 1)
 
 
-def make_batches(contexts, targets, max_len, batch_size, rng=None):
-    """Yield (ids, targets) arrays; order is shuffled when an rng is given."""
+def make_batches(examples, max_len, batch_size, rng=None):
+    """Yield (ids, targets) arrays for `(items, starts, ends)` examples:
+    each row is the last max_len items of its context, left-padded with
+    zeros.  Order is shuffled when an rng is given."""
     if max_len < 1 or batch_size < 1:
         raise ValueError("max_len and batch_size must be positive")
-    count = len(contexts)
-    order = rng.permutation(count) if rng is not None else np.arange(count)
-    for start in range(0, count, batch_size):
-        chunk = order[start : start + batch_size]
-        ids = np.stack([pad_context(contexts[i], max_len) for i in chunk])
-        yield ids, np.asarray([targets[i] for i in chunk], dtype=np.int64)
+    items, starts, ends = examples
+    order = rng.permutation(len(ends)) if rng is not None else np.arange(len(ends))
+    window = np.arange(-max_len, 0)
+    for lo in range(0, len(order), batch_size):
+        chunk = order[lo : lo + batch_size]
+        first = starts[chunk, None]
+        pos = ends[chunk, None] + window
+        ids = np.where(pos >= first, items[np.maximum(pos, first)], 0)
+        yield ids, items[ends[chunk]]

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Split, eval_instances
-from .model import ModelConfig, freeze_filters, pad_context, predict_scores_batch
+from .data import Split, eval_instances, make_batches
+from .model import ModelConfig, freeze_filters, predict_scores_batch
 from .nn import InvalidTarget
 
 __all__ = [
@@ -63,7 +63,8 @@ class EvalReport:
 
 def rank_of_target(scores, target, exclude=()) -> int:
     """1-based rank of `target` within `scores`, excluded indices ignored,
-    ties resolved in favour of the lower index."""
+    ties resolved in favour of the lower index.  A test oracle only for
+    `evaluate`'s batched ranking."""
     scores = np.asarray(scores, dtype=float)
     v = scores.shape[0]
     if not 0 <= target < v:
@@ -81,7 +82,8 @@ def rank_of_target(scores, target, exclude=()) -> int:
 
 
 def metrics_from_rank(rank, r):
-    """HR and NDCG credit for a single relevant item at `rank`."""
+    """HR and NDCG credit for a single relevant item at `rank`.  A test
+    oracle only for `aggregate_ranks`."""
     if rank < 1 or r < 1:
         raise ValueError("rank and cutoff must be >= 1")
     if rank > r:
@@ -104,13 +106,14 @@ def aggregate_ranks(ranks, mode, num_empty_context=0, filter_seen=False) -> Eval
 
 def _batched_ranks(logits, targets, contexts, filter_seen):
     """Vectorized ranks over a batch; matches rank_of_target with the
-    padding id excluded (and seen items excluded when requested)."""
+    padding id excluded (and row i's seen items, the i-th of `contexts`,
+    when requested)."""
     b, v = logits.shape
     considered = np.ones((b, v), dtype=bool)
     considered[:, 0] = False
     if filter_seen:
         for row, context in enumerate(contexts):
-            considered[row, list(context)] = False
+            considered[row, context] = False
     rows = np.arange(b)
     considered[rows, targets] = True
     own = logits[rows, targets]
@@ -131,19 +134,18 @@ def evaluate(
     """Score every user's context, rank the held-out target over the full
     catalog, and average HR/NDCG at each cutoff.  The filters are frozen
     once on entry, so every batch runs the real operators."""
-    contexts, targets = eval_instances(split, mode)
-    if not contexts:
+    examples = eval_instances(split, mode)
+    items, starts, ends = examples
+    if not len(ends):
         raise ValueError("empty split")
     ops = freeze_filters(params, cfg)
-    num_empty = sum(1 for c in contexts if len(c) == 0)
     all_ranks = []
-    index = np.arange(len(contexts))
-    for start in range(0, len(contexts), batch_size):
-        chunk = index[start : start + batch_size]
-        ids = np.stack([pad_context(contexts[i], cfg.max_len) for i in chunk])
-        batch_targets = np.asarray([targets[i] for i in chunk], dtype=np.int64)
+    batches = make_batches(examples, cfg.max_len, batch_size)
+    for lo, (ids, targets) in zip(range(0, len(ends), batch_size), batches):
         logits = predict_scores_batch(params, cfg, ids, frozen_ops=ops)
-        batch_contexts = [contexts[i] for i in chunk]
-        all_ranks.append(_batched_ranks(logits, batch_targets, batch_contexts, filter_seen))
+        rows = slice(lo, lo + batch_size)
+        seen = (items[s:e] for s, e in zip(starts[rows], ends[rows]))
+        all_ranks.append(_batched_ranks(logits, targets, seen, filter_seen))
     ranks = np.concatenate(all_ranks)
+    num_empty = int(np.count_nonzero(starts == ends))
     return aggregate_ranks(ranks, mode, num_empty, filter_seen)

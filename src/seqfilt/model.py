@@ -454,7 +454,10 @@ def load_checkpoint(path):
     try:
         cfg = ModelConfig.from_dict(header["config"])
         total_bytes = header["total_bytes"]
-        manifest = header["manifest"].items()
+        entries = {
+            key: (tuple(entry["shape"]), int(entry["offset"]))
+            for key, entry in header["manifest"].items()
+        }
         meta = header.get("meta", {})
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from exc
@@ -462,11 +465,20 @@ def load_checkpoint(path):
         raise CheckpointError(
             f"{path}: expected {total_bytes} data bytes, got {len(raw)}"
         )
+    fresh = init_params(cfg, np.random.default_rng(0))
+    expected = {key: value.shape for key, value in fresh.items()}
+    if entries.keys() != expected.keys():
+        missing = sorted(expected.keys() - entries.keys())
+        unknown = sorted(entries.keys() - expected.keys())
+        raise CheckpointError(f"{path}: parameters missing {missing}, unknown {unknown}")
     params = {}
-    for key, entry in manifest:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
+    for key, (shape, start) in entries.items():
+        if shape != expected[key]:
+            raise CheckpointError(
+                f"{path}: array {key!r} has shape {list(shape)}, "
+                f"the config needs {list(expected[key])}"
+            )
+        size = int(np.prod(shape))
         if not 0 <= start <= len(raw) - 8 * size:
             raise CheckpointError(f"{path}: array {key!r} lies outside the data")
         arr = np.frombuffer(raw, dtype="<f8", count=size, offset=start)

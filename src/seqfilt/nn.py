@@ -104,7 +104,8 @@ def softmax_xent(logits, target, exclude=()):
     """Cross-entropy of a stable softmax restricted to non-excluded indices.
 
     Returns (loss, grad) where grad is p - onehot(target) on active
-    indices and exactly zero on excluded ones.
+    indices and exactly zero on excluded ones.  A test oracle only: the
+    program trains with `softmax_xent_batch`.
     """
     logits = np.asarray(logits, dtype=float)
     v = logits.shape[0]

@@ -118,7 +118,8 @@ def make_basis(size: int, order: int = 0) -> SpectralBasis:
 
 
 def apply_fixed_filter_time(size, taps, x):
-    """Apply sum_k taps[k] * S^k * x by repeated shifting (brute force)."""
+    """Apply sum_k taps[k] * S^k * x by repeated shifting (brute force).
+    A test oracle only."""
     x = _check_signal(x, size)
     taps = np.asarray(taps)
     y = taps[0] * x
@@ -130,7 +131,8 @@ def apply_fixed_filter_time(size, taps, x):
 
 
 def apply_fixed_filter_freq(basis: SpectralBasis, taps, x):
-    """Same filter as a pointwise multiply in the frequency domain."""
+    """Same filter as a pointwise multiply in the frequency domain.  A test
+    oracle only."""
     taps = np.asarray(taps)
     if taps.shape[0] != basis.order + 1:
         raise ShapeError(
@@ -146,7 +148,8 @@ def _tap_cols(h, x):
 
 
 def apply_nv_filter_time(size, tap_matrix, x):
-    """Node-variant filter sum_k diag(H[:, k]) * S^k * x, by shifting."""
+    """Node-variant filter sum_k diag(H[:, k]) * S^k * x, by shifting.  A
+    test oracle only."""
     x = _check_signal(x, size)
     h = _check_signal(np.asarray(tap_matrix), size, "tap matrix")
     y = _tap_cols(h[:, 0], x) * x
@@ -170,7 +173,8 @@ def nv_mixing_matrix(basis: SpectralBasis, tap_matrix) -> np.ndarray:
 
 
 def apply_nv_filter_freq(basis: SpectralBasis, tap_matrix, x_freq):
-    """Frequency response of the node-variant filter on a transformed signal."""
+    """Frequency response of the node-variant filter on a transformed
+    signal.  A test oracle only."""
     mix = nv_mixing_matrix(basis, tap_matrix)
     return basis.forward @ (mix @ _check_signal(x_freq, basis.size))
 
@@ -201,7 +205,8 @@ def precompute_operator(n, order, tap_matrix) -> np.ndarray:
     """Collapse frozen causal taps into the equivalent banded real matrix.
 
     G[i, j] = Re(H[i, i-j]) for 0 <= i-j <= order, zero elsewhere, so that
-    causal_filter(n, order, H, X) == G @ X for every X.
+    causal_filter(n, order, H, X) == G @ X for every X.  A test oracle
+    only: the model builds its operator with `model.freeze_filters`.
     """
     h = _check_signal(np.asarray(tap_matrix), n, "tap matrix")
     g = np.zeros((n, n))

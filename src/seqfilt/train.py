@@ -117,8 +117,8 @@ def fit(
     """
     rng = np.random.default_rng(train_cfg.seed)
     split = split_loo(corpus)
-    contexts, targets = train_examples(split)
-    if not contexts:
+    examples = train_examples(split)
+    if not len(examples[2]):
         raise DataError("corpus yields no training examples")
     params = init_params(model_cfg, rng)
     state = adam_init(params, train_cfg.lr)
@@ -131,7 +131,7 @@ def fit(
         ce_sum = ortho_sum = 0.0
         seen = 0
         for batch_no, (ids, batch_targets) in enumerate(
-            make_batches(contexts, targets, model_cfg.max_len, train_cfg.batch_size, rng)
+            make_batches(examples, model_cfg.max_len, train_cfg.batch_size, rng)
         ):
             try:
                 _, ce, ortho, grads = loss_and_grads(

@@ -162,23 +162,27 @@ class TestEval:
         assert abs(hr10 - 0.2) <= 0.06
 
     def test_missing_checkpoint(self, tmp_path, corpus_file):
+        out = tmp_path / "out"
         code = cli.main(
             [
                 "eval", "--checkpoint", str(tmp_path / "missing.bin"),
-                "--data", str(corpus_file), "--out", str(tmp_path / "out"),
+                "--data", str(corpus_file), "--out", str(out),
             ]
         )
         assert code == cli.EXIT_DATA
+        assert not out.exists()
 
     def test_directory_checkpoint_is_data_error(self, tmp_path, corpus_file, capsys):
+        out = tmp_path / "out"
         code = cli.main(
             [
                 "eval", "--checkpoint", str(tmp_path),
-                "--data", str(corpus_file), "--out", str(tmp_path / "out"),
+                "--data", str(corpus_file), "--out", str(out),
             ]
         )
         assert code == cli.EXIT_DATA
         assert_one_line_error(capsys)
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "edit",
@@ -195,35 +199,80 @@ class TestEval:
         rewrite_header(ckpt, edit)
         with pytest.raises(CheckpointError):
             load_checkpoint(ckpt)
+        out = tmp_path / "out"
         code = cli.main(
             [
                 "eval", "--checkpoint", str(ckpt),
-                "--data", str(corpus_file), "--out", str(tmp_path / "out"),
+                "--data", str(corpus_file), "--out", str(out),
             ]
         )
         assert code == cli.EXIT_DATA
         assert_one_line_error(capsys)
+        assert not out.exists()
 
     def test_zero_batch_rejected(self, tmp_path, corpus_file, run_dir, capsys):
+        out = tmp_path / "out"
         code = cli.main(
             [
                 "eval", "--checkpoint", str(run_dir / "checkpoint.bin"),
-                "--data", str(corpus_file), "--out", str(tmp_path / "out"), "--batch", "0",
+                "--data", str(corpus_file), "--out", str(out), "--batch", "0",
             ]
         )
         assert code == cli.EXIT_USAGE
         assert_one_line_error(capsys)
+        assert not out.exists()
 
     def test_wrong_data_rejected(self, tmp_path, run_dir):
         other = tmp_path / "other.txt"
         other.write_text("1 1 2 3\n2 2 3 1\n3 3 1 2\n", encoding="utf-8")
+        out = tmp_path / "out2"
         code = cli.main(
             [
                 "eval", "--checkpoint", str(run_dir / "checkpoint.bin"),
-                "--data", str(other), "--out", str(tmp_path / "out2"),
+                "--data", str(other), "--out", str(out),
             ]
         )
         assert code == cli.EXIT_DATA
+        assert not out.exists()
+
+
+class TestBrokenCheckpoint:
+    @pytest.mark.parametrize("command", ["eval", "export-filters", "bench"])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda header: header["manifest"]["emb"].pop("offset"),
+            lambda header: header["manifest"]["emb"].pop("shape"),
+            lambda header: header["manifest"].pop("emb"),
+            lambda header: header["manifest"]["emb"].update(shape=[3, 4]),
+        ],
+        ids=["entry-without-offset", "entry-without-shape", "missing-parameter", "wrong-shape"],
+    )
+    def test_malformed_manifest_is_data_error(
+        self, tmp_path, corpus_file, run_dir, capsys, command, edit
+    ):
+        ckpt = tmp_path / "checkpoint.bin"
+        ckpt.write_bytes((run_dir / "checkpoint.bin").read_bytes())
+        rewrite_header(ckpt, edit)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(ckpt)
+        out = tmp_path / "out"
+        extra = ["--data", str(corpus_file)] if command == "eval" else []
+        code = cli.main([command, "--checkpoint", str(ckpt), "--out", str(out), *extra])
+        assert code == cli.EXIT_DATA
+        assert_one_line_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "export-filters", "bench"])
+    def test_bad_magic_leaves_no_output(self, tmp_path, corpus_file, capsys, command):
+        ckpt = tmp_path / "checkpoint.bin"
+        ckpt.write_bytes(b"not a checkpoint\n")
+        out = tmp_path / "out"
+        extra = ["--data", str(corpus_file)] if command == "eval" else []
+        code = cli.main([command, "--checkpoint", str(ckpt), "--out", str(out), *extra])
+        assert code == cli.EXIT_DATA
+        assert_one_line_error(capsys)
+        assert not out.exists()
 
 
 class TestExportFilters:

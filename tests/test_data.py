@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from seqfilt import data
+from seqfilt.model import pad_context
 from seqfilt.train import make_synthetic
 
 
@@ -88,8 +89,9 @@ class TestSplit:
     def test_single_user_single_test_example(self):
         corpus = data.Corpus([9], [[1, 2, 3, 4, 5]], 5)
         split = data.split_loo(corpus)
-        contexts, targets = data.eval_instances(split, "test")
-        assert len(contexts) == 1 and len(targets) == 1
+        items, starts, ends = data.eval_instances(split, "test")
+        assert len(starts) == 1 and len(ends) == 1
+        assert items[ends[0]] == 5
 
     def test_round_trip_reconstruction(self, rng):
         corpus = make_synthetic(25, 9, 7, rng)
@@ -103,65 +105,114 @@ class TestSplit:
     def test_no_leakage_into_training_targets(self, rng):
         corpus = make_synthetic(40, 11, 9, rng)
         split = data.split_loo(corpus)
-        contexts, targets = data.train_examples(split)
-        by_user = {}
+        items, starts, ends = data.train_examples(split)
         idx = 0
-        for user, prefix in enumerate(split.prefixes):
+        for prefix in split.prefixes:
             for j in range(1, len(prefix)):
-                assert contexts[idx] == prefix[:j]
-                assert targets[idx] == prefix[j]
+                assert items[starts[idx] : ends[idx]].tolist() == prefix[:j]
+                assert items[ends[idx]] == prefix[j]
                 idx += 1
-        assert idx == len(contexts)
+        assert idx == len(ends)
 
     def test_test_context_includes_valid_item(self):
         corpus = data.Corpus([1], [[1, 2, 3, 4]], 4)
         split = data.split_loo(corpus)
-        contexts, targets = data.eval_instances(split, "test")
-        assert contexts[0] == [1, 2, 3]
-        assert targets[0] == 4
-        contexts, targets = data.eval_instances(split, "valid")
-        assert contexts[0] == [1, 2]
-        assert targets[0] == 3
+        items, starts, ends = data.eval_instances(split, "test")
+        assert items[starts[0] : ends[0]].tolist() == [1, 2, 3]
+        assert items[ends[0]] == 4
+        items, starts, ends = data.eval_instances(split, "valid")
+        assert items[starts[0] : ends[0]].tolist() == [1, 2]
+        assert items[ends[0]] == 3
+
+
+def one_example(context, target):
+    """A single `(items, starts, ends)` example: context -> target."""
+    items = np.asarray(context + [target], dtype=np.int64)
+    return items, np.array([0]), np.array([len(context)])
 
 
 class TestBatches:
     def test_left_padding(self):
-        batches = list(data.make_batches([[4, 5, 6]], [7], max_len=5, batch_size=4))
+        batches = list(data.make_batches(one_example([4, 5, 6], 7), max_len=5, batch_size=4))
         ids, targets = batches[0]
         assert np.array_equal(ids[0], [0, 0, 4, 5, 6])
         assert targets[0] == 7
 
     def test_truncation_keeps_most_recent(self):
         batches = list(
-            data.make_batches([[1, 2, 3, 4, 5, 6, 7]], [8], max_len=5, batch_size=1)
+            data.make_batches(one_example([1, 2, 3, 4, 5, 6, 7], 8), max_len=5, batch_size=1)
         )
         ids, _ = batches[0]
         assert np.array_equal(ids[0], [3, 4, 5, 6, 7])
 
     def test_shuffle_deterministic_per_seed(self):
-        contexts = [[i] for i in range(1, 33)]
-        targets = list(range(1, 33))
+        # 32 one-item contexts [i] -> target i
+        items = np.repeat(np.arange(1, 33), 2)
+        examples = (items, np.arange(0, 64, 2), np.arange(1, 64, 2))
         a = [
             t.tolist()
-            for _, t in data.make_batches(
-                contexts, targets, 4, 8, np.random.default_rng(3)
-            )
+            for _, t in data.make_batches(examples, 4, 8, np.random.default_rng(3))
         ]
         b = [
             t.tolist()
-            for _, t in data.make_batches(
-                contexts, targets, 4, 8, np.random.default_rng(3)
-            )
+            for _, t in data.make_batches(examples, 4, 8, np.random.default_rng(3))
         ]
         assert a == b
+        assert sorted(sum(a, [])) == list(range(1, 33))
 
     def test_padding_is_contiguous_prefix(self, rng):
         corpus = make_synthetic(30, 8, 6, rng)
         split = data.split_loo(corpus)
-        contexts, targets = data.train_examples(split)
-        for ids, tg in data.make_batches(contexts, targets, 7, 16, rng):
+        examples = data.train_examples(split)
+        for ids, tg in data.make_batches(examples, 7, 16, rng):
             assert np.all((tg >= 1) & (tg <= 8))
             for row in ids:
                 nz = np.flatnonzero(row)
                 if nz.size:
                     assert np.all(row[nz[0] :] > 0)
+
+
+def list_examples(split, mode):
+    """The list-based (context, target) pairs the flat index replaced:
+    one copied context per example."""
+    if mode == "train":
+        return [(p[:j], p[j]) for p in split.prefixes for j in range(1, len(p))]
+    if mode == "valid":
+        return list(zip(split.prefixes, split.valid_targets))
+    rows = zip(split.prefixes, split.valid_targets, split.test_targets)
+    return [(p + [v], t) for p, v, t in rows]
+
+
+def list_batches(pairs, max_len, batch_size, rng=None):
+    """Per-example `pad_context` batching over list pairs."""
+    order = rng.permutation(len(pairs)) if rng is not None else np.arange(len(pairs))
+    for lo in range(0, len(pairs), batch_size):
+        chunk = order[lo : lo + batch_size]
+        ids = np.stack([pad_context(pairs[i][0], max_len) for i in chunk])
+        yield ids, np.asarray([pairs[i][1] for i in chunk], dtype=np.int64)
+
+
+class TestIndexOracle:
+    @pytest.mark.parametrize("max_len", [2, 5, 20])
+    @pytest.mark.parametrize("batch_size", [1, 7, 256])
+    def test_batches_match_list_oracle(self, max_len, batch_size):
+        rng = np.random.default_rng(1000 * max_len + batch_size)
+        lengths = [3, 3 * max_len + 5, *rng.integers(3, 3 * max_len + 6, size=20)]
+        seqs = [rng.integers(1, 30, size=n).tolist() for n in lengths]
+        split = data.split_loo(data.Corpus(list(range(len(seqs))), seqs, 29))
+        prefix_lengths = [len(p) for p in split.prefixes]
+        assert min(prefix_lengths) < max_len < max(prefix_lengths)
+        for mode in ("train", "valid", "test"):
+            if mode == "train":
+                examples = data.train_examples(split)
+                got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+            else:
+                examples = data.eval_instances(split, mode)
+                got_rng = want_rng = None
+            got = list(data.make_batches(examples, max_len, batch_size, got_rng))
+            want = list(list_batches(list_examples(split, mode), max_len, batch_size, want_rng))
+            assert len(got) == len(want)
+            for (ids, targets), (want_ids, want_targets) in zip(got, want):
+                assert ids.dtype == np.int64 and targets.dtype == np.int64
+                assert np.array_equal(ids, want_ids)
+                assert np.array_equal(targets, want_targets)

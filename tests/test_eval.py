@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from seqfilt import evaluation as ev
-from seqfilt.data import split_loo
-from seqfilt.model import ModelConfig, init_params
+from seqfilt.data import Corpus, split_loo
+from seqfilt.model import (
+    ModelConfig,
+    freeze_filters,
+    init_params,
+    model_forward,
+    pad_context,
+    predict_scores,
+)
 from seqfilt.nn import InvalidTarget
 from seqfilt.train import make_synthetic
 
@@ -153,3 +160,43 @@ class TestEvaluate:
         split.prefixes[0] = []
         report = ev.evaluate(split, params, cfg, mode="valid")
         assert report.num_empty_context == 1
+
+    def test_filter_seen_end_to_end(self):
+        rng = np.random.default_rng(31)
+        early = 40  # seen only by the last user, before its max_len window
+        # distinct items per user, so no target is in its own context
+        seqs = [
+            rng.permutation(np.arange(1, early))[: rng.integers(3, 10)].tolist()
+            for _ in range(10)
+        ]
+        seqs.append([early, 1, 2, 3, 4, 5, 6])
+        split = split_loo(Corpus(list(range(11)), seqs, early))
+        split.prefixes[4] = []
+        cfg = ModelConfig(num_items=early, max_len=4, dim=8, layers=1, num_bases=3)
+        params = init_params(cfg, rng)
+        for mode in ("valid", "test"):
+            contexts = [
+                p if mode == "valid" else p + [v]
+                for p, v in zip(split.prefixes, split.valid_targets)
+            ]
+            targets = split.valid_targets if mode == "valid" else split.test_targets
+            # make the early item the last user's top score, so only
+            # excluding the full context (not the window) drops it
+            ids = pad_context(contexts[-1], cfg.max_len)[None]
+            params["emb"][early] = 10.0 * model_forward(params, cfg, ids)[0][0, -1]
+            ops = freeze_filters(params, cfg)
+            scores = [predict_scores(params, cfg, c, frozen_ops=ops) for c in contexts]
+            window_rank = ev.rank_of_target(
+                scores[-1], targets[-1], exclude={0, *contexts[-1][-cfg.max_len :]}
+            )
+            ranks = [
+                ev.rank_of_target(s, t, exclude={0, *c})
+                for s, c, t in zip(scores, contexts, targets)
+            ]
+            assert window_rank > ranks[-1]
+            # 11 users in batches of 4: the last user sits in a partial batch
+            report = ev.evaluate(split, params, cfg, mode=mode, batch_size=4, filter_seen=True)
+            want = ev.aggregate_ranks(ranks, mode)
+            assert report.hr == want.hr and report.ndcg == want.ndcg
+            assert report.num_users == 11 and report.filter_seen
+            assert report.num_empty_context == (1 if mode == "valid" else 0)
