@@ -187,8 +187,12 @@ def cmd_train(args) -> int:
     }
     _write_manifest(out / "manifest.json", manifest)
     print(corpus.report.summary())
-    params, log = fit(corpus, model_cfg, train_cfg, log_fn=print)
-    log.write_csv(out / "trainlog.csv")
+
+    def on_epoch(log):
+        print(log.last_line())
+        log.write_csv(out / "trainlog.csv")
+
+    params, log = fit(corpus, model_cfg, train_cfg, on_epoch=on_epoch)
     meta = {
         "data_sha256": data_sha,
         "min_interactions": args.min_interactions,

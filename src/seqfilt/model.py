@@ -3,7 +3,10 @@
 Item sequences are embedded, passed through L blocks (a per-position
 spectral filter layer followed by a feed-forward layer, each wrapped in
 dropout + residual + layer norm), and scored against the embedding table
-using the final position's representation.
+using the final position's representation.  That representation is all
+the loss and the scores read, and everything after the filter is
+position-wise, so the last block applies only row N-1 of its filter and
+runs on B rows instead of B·N; `model_forward` returns it as (B, D).
 
 Each filter layer computes y = G x with one real N x N operator,
 G[i, i-k] = Re H[i, k] (causal; circular mode wraps i-k mod N and sums
@@ -45,6 +48,7 @@ __all__ = [
     "NormalizationError",
     "OutOfVocabulary",
     "CheckpointError",
+    "param_shapes",
     "init_params",
     "build_tap_matrix",
     "build_tap_matrix_backward",
@@ -125,31 +129,37 @@ def block_key(layer: int, name: str) -> str:
     return f"block{layer}_{name}"
 
 
-def init_params(cfg: ModelConfig, rng) -> dict:
-    """Fresh parameter dict: weights ~ N(0, 0.02), biases/shifts 0, scales 1."""
-    d, n, m, k = cfg.dim, cfg.max_len, cfg.num_bases, cfg.order
-    scale = 0.02
-    params = {
-        "emb": rng.normal(0.0, scale, size=(cfg.num_items + 1, d)),
-        "emb_ln_g": np.ones(d),
-        "emb_ln_b": np.zeros(d),
-    }
+def param_shapes(cfg: ModelConfig) -> dict:
+    """Shape of every parameter group, in the order `init_params` draws them."""
+    d, n, m, k, h = cfg.dim, cfg.max_len, cfg.num_bases, cfg.order, cfg.hidden
+    shapes = {"emb": (cfg.num_items + 1, d), "emb_ln_g": (d,), "emb_ln_b": (d,)}
     for layer in range(cfg.layers):
         block = {
-            "coef": rng.normal(0.0, scale, size=(n, m)),
-            "basis_re": rng.normal(0.0, scale, size=(m, k + 1)),
-            "basis_im": rng.normal(0.0, scale, size=(m, k + 1)),
-            "w1": rng.normal(0.0, scale, size=(d, cfg.hidden)),
-            "b1": np.zeros(cfg.hidden),
-            "w2": rng.normal(0.0, scale, size=(cfg.hidden, d)),
-            "b2": np.zeros(d),
-            "ln1_g": np.ones(d),
-            "ln1_b": np.zeros(d),
-            "ln2_g": np.ones(d),
-            "ln2_b": np.zeros(d),
+            "coef": (n, m),
+            "basis_re": (m, k + 1),
+            "basis_im": (m, k + 1),
+            "w1": (d, h),
+            "b1": (h,),
+            "w2": (h, d),
+            "b2": (d,),
+            "ln1_g": (d,),
+            "ln1_b": (d,),
+            "ln2_g": (d,),
+            "ln2_b": (d,),
         }
-        for name, value in block.items():
-            params[block_key(layer, name)] = value
+        shapes.update((block_key(layer, name), shape) for name, shape in block.items())
+    return shapes
+
+
+def init_params(cfg: ModelConfig, rng) -> dict:
+    """Fresh parameter dict: matrices ~ N(0, 0.02); vectors 0, except the
+    layer-norm scales (`*_g`), which are 1."""
+    params = {}
+    for key, shape in param_shapes(cfg).items():
+        if len(shape) == 2:
+            params[key] = rng.normal(0.0, 0.02, size=shape)
+        else:
+            params[key] = np.ones(shape) if key.endswith("_g") else np.zeros(shape)
     return params
 
 
@@ -215,11 +225,17 @@ def _tap_operator(cfg: ModelConfig, taps):
 
 def _operator_backward(cfg: ModelConfig, op, x, dy):
     """dx = Gᵀ dy, and the gradient of each applied tap,
-    d_taps[i, k] = Σ_batch (dy xᵀ)[i, col(i, k)]."""
+    d_taps[i, k] = Σ_batch (dy xᵀ)[i, col(i, k)].
+
+    `op` holds the last R rows of G and `dy` the gradient of those R
+    output positions; taps of the rows before them get zero gradient."""
+    first = cfg.max_len - len(op)
     rows, shifts, cols = _band(cfg)
+    keep = rows >= first
+    rows, shifts, cols = rows[keep], shifts[keep], cols[keep]
     outer = (dy @ x.transpose(0, 2, 1)).sum(axis=0)
     d_taps = np.zeros((cfg.max_len, cfg.order + 1))
-    d_taps[rows, shifts] = outer[rows, cols]
+    d_taps[rows, shifts] = outer[rows - first, cols]
     return op.T @ dy, d_taps
 
 
@@ -285,16 +301,25 @@ def _embed_backward(params, cfg, cache, dx, grads):
 
 
 def _block_forward(params, cfg, layer, x, rng, training, frozen_op=None):
+    """One block on (B, N, D) input.  Only the final position of the last
+    block reaches the head, and everything after the filter is
+    position-wise, so the last block applies only row N-1 of its filter
+    and runs on B rows; the others output all N positions."""
     eps = cfg.ln_eps
     key = lambda name: params[block_key(layer, name)]
+    rows = 1 if layer == cfg.layers - 1 else cfg.max_len
     op, tap_cache = frozen_op, None
     if op is None:
         taps, tap_cache = layer_taps(params, layer)
         if training:
             op = _tap_operator(cfg, taps)
-    filtered = _live_filter(cfg, taps, x) if op is None else op @ x
+    if op is None:
+        filtered = _live_filter(cfg, taps, x)[:, -rows:]
+    else:
+        op = op[-rows:]
+        filtered = op @ x
     drop1, mask1 = dropout(filtered, cfg.dropout, rng, training)
-    res1 = x + drop1
+    res1 = x[:, -rows:] + drop1
     f2d, ln1_cache = layer_norm(res1.reshape(-1, cfg.dim), key("ln1_g"), key("ln1_b"), eps)
     h1 = f2d @ key("w1") + key("b1")
     act, act_cache = gelu(h1)
@@ -303,14 +328,13 @@ def _block_forward(params, cfg, layer, x, rng, training, frozen_op=None):
     res2 = f2d + drop2_flat
     out2d, ln2_cache = layer_norm(res2, key("ln2_g"), key("ln2_b"), eps)
     cache = (tap_cache, op, x, mask1, ln1_cache, f2d, act, act_cache, mask2, ln2_cache, filtered)
-    return out2d.reshape(x.shape), cache
+    return out2d.reshape(res1.shape), cache
 
 
 def _block_backward(params, cfg, layer, cache, dy, grads):
     tap_cache, op, x, mask1, ln1_cache, f2d, act, act_cache, mask2, ln2_cache, _ = cache
     key = lambda name: params[block_key(layer, name)]
     gkey = lambda name: grads[block_key(layer, name)]
-    shape = dy.shape
 
     d_res2, d_g2, d_b2 = layer_norm_backward(ln2_cache, dy.reshape(-1, cfg.dim))
     gkey("ln2_g")[:] += d_g2
@@ -328,18 +352,20 @@ def _block_backward(params, cfg, layer, cache, dy, grads):
     d_res1, d_g1, d_b1 = layer_norm_backward(ln1_cache, d_f)
     gkey("ln1_g")[:] += d_g1
     gkey("ln1_b")[:] += d_b1
-    dx = d_res1.reshape(shape)
-    d_filtered = dropout_backward(mask1, dx)
-    dx_filter, d_taps = _operator_backward(cfg, op, x, d_filtered)
+    d_res1 = d_res1.reshape(len(x), len(op), cfg.dim)
+    d_filtered = dropout_backward(mask1, d_res1)
+    dx, d_taps = _operator_backward(cfg, op, x, d_filtered)
     d_coef, d_bre, d_bim = build_tap_matrix_backward(tap_cache, d_taps)
     gkey("coef")[:] += d_coef
     gkey("basis_re")[:] += d_bre
     gkey("basis_im")[:] += d_bim
-    return dx + dx_filter
+    dx[:, -len(op):] += d_res1
+    return dx
 
 
 def model_forward(params, cfg, ids, rng=None, training=False, frozen_ops=None):
-    """Run embedding plus all blocks; returns (X_final, cache)."""
+    """Run embedding plus all blocks; returns the (B, D) representation of
+    the final position, and the cache `model_backward` reads."""
     ids = _check_ids(cfg, ids)
     x, emb_cache = _embed_forward(params, cfg, ids, rng, training)
     block_caches = []
@@ -347,10 +373,12 @@ def model_forward(params, cfg, ids, rng=None, training=False, frozen_ops=None):
         op = None if frozen_ops is None else frozen_ops[layer]
         x, cache = _block_forward(params, cfg, layer, x, rng, training, frozen_op=op)
         block_caches.append(cache)
-    return x, (emb_cache, block_caches)
+    return x[:, -1], (emb_cache, block_caches)
 
 
 def model_backward(params, cfg, cache, dx, grads):
+    """Accumulate into `grads` the gradients of a scalar whose gradient
+    with respect to `model_forward`'s (B, D) output is `dx`."""
     emb_cache, block_caches = cache
     for layer in reversed(range(cfg.layers)):
         dx = _block_backward(params, cfg, layer, block_caches[layer], dx, grads)
@@ -372,8 +400,8 @@ def pad_context(context, max_len) -> np.ndarray:
 
 
 def predict_scores_batch(params, cfg, ids, frozen_ops=None):
-    x, _ = model_forward(params, cfg, ids, training=False, frozen_ops=frozen_ops)
-    return score_logits(params, x[:, -1, :])
+    x_last, _ = model_forward(params, cfg, ids, training=False, frozen_ops=frozen_ops)
+    return score_logits(params, x_last)
 
 
 def predict_scores(params, cfg, context, frozen_ops=None):
@@ -465,8 +493,7 @@ def load_checkpoint(path):
         raise CheckpointError(
             f"{path}: expected {total_bytes} data bytes, got {len(raw)}"
         )
-    fresh = init_params(cfg, np.random.default_rng(0))
-    expected = {key: value.shape for key, value in fresh.items()}
+    expected = param_shapes(cfg)
     if entries.keys() != expected.keys():
         missing = sorted(expected.keys() - entries.keys())
         unknown = sorted(entries.keys() - expected.keys())

@@ -1,5 +1,11 @@
 """Training loop: cross-entropy with orthogonal basis regularization,
-Adam updates, validation-based early stopping."""
+Adam updates, validation-based early stopping.
+
+Each example is one history prefix whose target is the next item; the
+loss reads only the encoder's final position (`model_forward` returns
+it as (B, D)), so the last block is computed for that position alone.
+A non-finite loss raises `NumericError` naming the epoch, the batch and
+the first non-finite parameter group."""
 
 from __future__ import annotations
 
@@ -10,7 +16,7 @@ import numpy as np
 
 from .data import Corpus, DataError, make_batches, split_loo, train_examples
 from .evaluation import evaluate
-from .model import ModelConfig, block_key, init_params, model_backward, model_forward, score_logits, zero_grads
+from .model import ModelConfig, atomic_open, block_key, init_params, model_backward, model_forward, score_logits, zero_grads
 from .nn import NumericError, adam_init, adam_step, ortho_penalty, softmax_xent_batch
 
 __all__ = [
@@ -63,8 +69,16 @@ class TrainLog:
             lines.append("%d,%.17g,%.17g,%.17g,%.17g" % row)
         return "\n".join(lines) + "\n"
 
+    def last_line(self) -> str:
+        """One human-readable line for the latest epoch."""
+        return (
+            f"epoch {self.epochs[-1]:4d}  ce {self.ce[-1]:.4f}  "
+            f"ortho {self.ortho[-1]:.3e}  valid ndcg@20 {self.valid_ndcg20[-1]:.4f}"
+        )
+
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        """Replace `path` atomically with every epoch logged so far."""
+        with atomic_open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_csv())
 
 
@@ -72,8 +86,7 @@ def loss_and_grads(params, cfg: ModelConfig, ids, targets, alpha, rng=None):
     """Joint objective over one batch: mean cross-entropy over the batch
     targets plus the orthogonality penalty on every layer's basis.
     Returns (loss, ce, ortho, grads)."""
-    x, cache = model_forward(params, cfg, ids, rng=rng, training=True)
-    x_last = x[:, -1, :]
+    x_last, cache = model_forward(params, cfg, ids, rng=rng, training=True)
     logits = score_logits(params, x_last)
     ce, d_logits = softmax_xent_batch(logits, np.asarray(targets))
 
@@ -88,18 +101,26 @@ def loss_and_grads(params, cfg: ModelConfig, ids, targets, alpha, rng=None):
         grads[im_key] += g_im
 
     grads["emb"] += d_logits.T @ x_last
-    dx = np.zeros_like(x)
-    dx[:, -1, :] = d_logits @ params["emb"]
-    model_backward(params, cfg, cache, dx, grads)
+    model_backward(params, cfg, cache, d_logits @ params["emb"], grads)
 
     loss = ce + ortho_total
     if not np.isfinite(loss):
-        raise NumericError(f"non-finite loss {loss!r} (ce={ce!r}, ortho={ortho_total!r})")
+        raise NumericError(
+            f"non-finite loss {loss!r} (ce={ce!r}, ortho={ortho_total!r}); "
+            + _first_non_finite(params, grads)
+        )
     return loss, ce, ortho_total, grads
 
 
-def _param_norms(params):
-    return {key: float(np.linalg.norm(value)) for key, value in params.items()}
+def _first_non_finite(params, grads):
+    """Name the first parameter group whose value, or failing that whose
+    gradient, is non-finite; values come first because a bad value makes
+    the gradients of every group upstream of it non-finite too."""
+    for what, arrays in (("value", params), ("gradient", grads)):
+        for key, value in arrays.items():
+            if not np.all(np.isfinite(value)):
+                return f"first non-finite group: {key} ({what})"
+    return "every parameter value and gradient is finite"
 
 
 def fit(
@@ -107,13 +128,14 @@ def fit(
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
     timer=time.perf_counter,
-    log_fn=None,
+    on_epoch=None,
 ):
     """Train on the corpus; returns (best_params, TrainLog).
 
     Validation NDCG@20 is computed every epoch; training stops after
     `patience` epochs without improvement and the best-epoch snapshot is
-    the one returned.
+    the one returned.  `on_epoch`, if given, is called with the TrainLog
+    after every epoch, so a run that fails later still leaves its record.
     """
     rng = np.random.default_rng(train_cfg.seed)
     split = split_loo(corpus)
@@ -138,10 +160,7 @@ def fit(
                     params, model_cfg, ids, batch_targets, train_cfg.alpha, rng=rng
                 )
             except NumericError as exc:
-                norms = _param_norms(params)
-                raise NumericError(
-                    f"epoch {epoch}, batch {batch_no}: {exc}; parameter norms: {norms}"
-                ) from exc
+                raise NumericError(f"epoch {epoch}, batch {batch_no}: {exc}") from exc
             adam_step(params, grads, state)
             ce_sum += ce * len(batch_targets)
             ortho_sum += ortho * len(batch_targets)
@@ -149,11 +168,8 @@ def fit(
         report = evaluate(split, params, model_cfg, mode="valid", batch_size=train_cfg.batch_size)
         ndcg = report.ndcg[20]
         log.append(epoch, ce_sum / seen, ortho_sum / seen, ndcg, timer() - started)
-        if log_fn is not None:
-            log_fn(
-                f"epoch {epoch:4d}  ce {ce_sum / seen:.4f}  "
-                f"ortho {ortho_sum / seen:.3e}  valid ndcg@20 {ndcg:.4f}"
-            )
+        if on_epoch is not None:
+            on_epoch(log)
         if ndcg > best_ndcg:
             best_ndcg = ndcg
             best_params = {k: v.copy() for k, v in params.items()}

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from seqfilt import cli
+from seqfilt import nn
 from seqfilt import spectral as sp
+from seqfilt import train as tr
 from seqfilt.model import (
     CheckpointError,
     ModelConfig,
@@ -125,6 +127,33 @@ class TestTrain:
             ["train", "--data", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "y")]
         )
         assert code == cli.EXIT_DATA
+
+    def test_numeric_error_keeps_finished_epochs(self, tmp_path, corpus_file, capsys, monkeypatch):
+        # the first batch of epoch 3 fails: epochs 1 and 2 stay on disk
+        evaluated = []
+        real_evaluate, real_loss = tr.evaluate, tr.loss_and_grads
+
+        def counting_evaluate(*args, **kwargs):
+            evaluated.append(1)
+            return real_evaluate(*args, **kwargs)
+
+        def failing_loss(*args, **kwargs):
+            if len(evaluated) == 2:
+                raise nn.NumericError("injected")
+            return real_loss(*args, **kwargs)
+
+        monkeypatch.setattr(tr, "evaluate", counting_evaluate)
+        monkeypatch.setattr(tr, "loss_and_grads", failing_loss)
+        out = tmp_path / "crash"
+        code = cli.main(
+            ["train", "--data", str(corpus_file), "--out", str(out), *TRAIN_FLAGS, "--epochs", "5"]
+        )
+        assert code == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "epoch 3, batch 0: injected" in err and err.count("\n") == 1
+        lines = (out / "trainlog.csv").read_text().splitlines()
+        assert lines[0] == "epoch,ce,ortho,valid_ndcg20,seconds"
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
 
 
 class TestEval:

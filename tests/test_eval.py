@@ -183,7 +183,7 @@ class TestEvaluate:
             # make the early item the last user's top score, so only
             # excluding the full context (not the window) drops it
             ids = pad_context(contexts[-1], cfg.max_len)[None]
-            params["emb"][early] = 10.0 * model_forward(params, cfg, ids)[0][0, -1]
+            params["emb"][early] = 10.0 * model_forward(params, cfg, ids)[0][0]
             ops = freeze_filters(params, cfg)
             scores = [predict_scores(params, cfg, c, frozen_ops=ops) for c in contexts]
             window_rank = ev.rank_of_target(

@@ -8,6 +8,7 @@ from conftest import finite_diff, rel_err
 from seqfilt import model as mdl
 from seqfilt import nn
 from seqfilt import spectral as sp
+from seqfilt.train import loss_and_grads
 
 
 def tiny_config(**overrides):
@@ -163,33 +164,83 @@ class TestEncoder:
         flat = (2.0 * x0).reshape(-1, cfg.dim)
         inner, _ = nn.layer_norm(flat, params["block0_ln1_g"], params["block0_ln1_b"], cfg.ln_eps)
         direct, _ = nn.layer_norm(inner, params["block0_ln2_g"], params["block0_ln2_b"], cfg.ln_eps)
-        assert np.abs(out.reshape(-1, cfg.dim) - direct).max() <= 1e-12
+        last = direct.reshape(2, 8, cfg.dim)[:, -1]
+        assert np.abs(out - last).max() <= 1e-12
 
     def test_causal_mode_blocks_leakage(self, rng):
-        cfg = tiny_config(layers=2, num_bases=3)
+        # every block but the last outputs all positions: check each of
+        # them through its filter output and the next block's input
+        cfg = tiny_config(layers=3, num_bases=3)
         params = mdl.init_params(cfg, rng)
         ids = rng.integers(1, 21, size=(1, 8))
-        base, base_cache = mdl.model_forward(params, cfg, ids, training=False)
+        _, (_, base_blocks) = mdl.model_forward(params, cfg, ids, training=False)
         for j in (2, 5, 7):
             bumped = ids.copy()
             bumped[0, j] = (ids[0, j] % 20) + 1
-            out, cache = mdl.model_forward(params, cfg, bumped, training=False)
-            assert np.abs(out[0, :j] - base[0, :j]).max() <= 1e-12
-            # filter-layer outputs row-restricted too, in every block
-            for blk in range(cfg.layers):
-                filt_base = base_cache[1][blk][-1]
-                filt_new = cache[1][blk][-1]
+            _, (_, blocks) = mdl.model_forward(params, cfg, bumped, training=False)
+            for blk in range(cfg.layers - 1):
+                filt_base, filt_new = base_blocks[blk][-1], blocks[blk][-1]
                 assert np.abs(filt_new[0, :j] - filt_base[0, :j]).max() <= 1e-12
+                out_base, out_new = base_blocks[blk + 1][2], blocks[blk + 1][2]
+                assert np.abs(out_new[0, :j] - out_base[0, :j]).max() <= 1e-12
 
     def test_circular_mode_mixes_all_positions(self, rng):
-        cfg = tiny_config(filter_mode="circular")
+        cfg = tiny_config(layers=2, filter_mode="circular")
         params = mdl.init_params(cfg, rng)
         ids = rng.integers(1, 21, size=(1, 8))
-        base, _ = mdl.model_forward(params, cfg, ids, training=False)
         bumped = ids.copy()
         bumped[0, 7] = (ids[0, 7] % 20) + 1
-        out, _ = mdl.model_forward(params, cfg, bumped, training=False)
+        block0 = lambda i: mdl._block_forward(
+            params, cfg, 0, mdl._embed_forward(params, cfg, i, None, False)[0], None, False
+        )[0]
+        base, out = block0(ids), block0(bumped)
+        assert base.shape == (1, 8, cfg.dim)
         assert np.abs(out[0, :7] - base[0, :7]).max() > 1e-9
+
+    def test_matches_all_positions_oracle(self, rng):
+        """Running every block on all positions, the head's row of the
+        last one is what `model_forward` returns, frozen and live."""
+
+        def all_positions(params, cfg, ids, ops):
+            x, _ = mdl._embed_forward(params, cfg, ids, None, False)
+            for layer, op in enumerate(ops):
+                p = lambda name: params[mdl.block_key(layer, name)]
+                f, _ = nn.layer_norm((x + op @ x).reshape(-1, cfg.dim), p("ln1_g"), p("ln1_b"), cfg.ln_eps)
+                h = nn.gelu(f @ p("w1") + p("b1"))[0] @ p("w2") + p("b2")
+                out, _ = nn.layer_norm(f + h, p("ln2_g"), p("ln2_b"), cfg.ln_eps)
+                x = out.reshape(x.shape)
+            return x[:, -1]
+
+        for mode in ("causal", "circular"):
+            for layers in (1, 2, 3):
+                cfg = tiny_config(layers=layers, filter_mode=mode, filter_order=5)
+                params = mdl.init_params(cfg, rng)
+                ids = rng.integers(0, 21, size=(5, 8))
+                ids[:2, :4] = 0
+                ops = mdl.freeze_filters(params, cfg)
+                want = all_positions(params, cfg, ids, ops)
+                for frozen in (ops, None):
+                    got, _ = mdl.model_forward(params, cfg, ids, frozen_ops=frozen)
+                    assert got.shape == (5, cfg.dim)
+                    assert np.abs(got - want).max() <= 1e-12, (mode, layers, frozen is None)
+
+    def test_training_step_layer_norm_rows(self, rng, monkeypatch):
+        """Embedding B·N rows, 2·B·N per earlier block, 2·B for the last."""
+        counted = []
+
+        def counting(x, *args, **kwargs):
+            counted.append(len(x))
+            return nn.layer_norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(mdl, "layer_norm", counting)
+        b, n = 6, 8
+        for layers in (1, 2, 3):
+            cfg = tiny_config(layers=layers, dropout=0.2)
+            params = mdl.init_params(cfg, rng)
+            ids = rng.integers(0, 21, size=(b, n))
+            counted.clear()
+            loss_and_grads(params, cfg, ids, rng.integers(1, 21, size=b), 0.0, rng=rng)
+            assert sum(counted) == b * ((2 * layers - 1) * n + 2)
 
     def test_filter_layer_matches_spectral_causal_filter(self, rng):
         cfg = tiny_config(max_len=6, filter_order=4, num_bases=3, dim=5)
@@ -227,7 +278,7 @@ class TestPrediction:
         x, _ = mdl.model_forward(
             params, cfg, mdl.pad_context(seq, cfg.max_len)[None], training=False
         )
-        params["emb"][7] = x[0, -1]
+        params["emb"][7] = x[0]
         scores = mdl.predict_scores(params, cfg, seq)
         assert int(np.argmax(scores[1:])) + 1 == 7
 
@@ -252,7 +303,7 @@ class TestPrediction:
         x, _ = mdl.model_forward(
             params, cfg, mdl.pad_context(seq, cfg.max_len)[None], training=False
         )
-        final = x[0, -1]
+        final = x[0]
         for v in range(cfg.num_items + 1):
             assert abs(scores[v] - float(params["emb"][v] @ final)) <= 1e-12
 

@@ -9,7 +9,8 @@ from seqfilt.data import Corpus, split_loo
 from seqfilt.evaluation import evaluate
 from seqfilt.model import ModelConfig, init_params
 from seqfilt.nn import NumericError
-from seqfilt.train import TrainConfig, TrainLog, fit, loss_and_grads, make_synthetic
+from seqfilt import train as tr
+from seqfilt.train import TrainConfig, TrainLog, _first_non_finite, fit, loss_and_grads, make_synthetic
 
 
 def small_setup(rng, **cfg_overrides):
@@ -57,10 +58,27 @@ class TestLossAndGrads:
         for key in sorted(params):
             assert rel_err(grads[key], finite_diff(objective, params[key])) <= 1e-4, key
 
+    @pytest.mark.parametrize("mode", ["causal", "circular"])
+    def test_two_layer_gradients_match_finite_differences(self, mode, rng):
+        # block 0 runs on every position and feeds the last block, which
+        # runs on the final position alone; the first two positions are padding
+        cfg = ModelConfig(
+            num_items=6, max_len=5, dim=3, layers=2, num_bases=2,
+            filter_order=5, dropout=0.0, filter_mode=mode,
+        )
+        params = init_params(cfg, rng)
+        ids = rng.integers(0, 7, size=(3, 5))
+        ids[:, :2] = 0
+        targets = rng.integers(1, 7, size=3)
+        _, _, _, grads = loss_and_grads(params, cfg, ids, targets, alpha=1e-3)
+        objective = lambda: loss_and_grads(params, cfg, ids, targets, alpha=1e-3)[0]
+        for key in sorted(params):
+            assert rel_err(grads[key], finite_diff(objective, params[key])) <= 1e-4, key
+
     def test_non_finite_loss_aborts(self, rng):
         cfg, params, ids, targets = small_setup(rng)
         params["emb"][3, 0] = np.inf
-        with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match=r"group: emb \(value\)"):
             loss_and_grads(params, cfg, ids, targets, alpha=0.0)
 
 
@@ -116,6 +134,30 @@ class TestFit:
         split = split_loo(corpus)
         returned = evaluate(split, params, cfg, mode="valid").ndcg[20]
         assert returned == pytest.approx(max(log.valid_ndcg20), abs=1e-12)
+
+    def test_numeric_error_names_epoch_batch_and_group(self, monkeypatch):
+        def poisoned(cfg, rng):
+            params = init_params(cfg, rng)
+            params["block0_w1"][1, 2] = np.nan
+            return params
+
+        monkeypatch.setattr(tr, "init_params", poisoned)
+        corpus = make_synthetic(20, 8, 6, np.random.default_rng(8))
+        cfg = ModelConfig(num_items=8, max_len=6, dim=8, layers=2, num_bases=3)
+        tcfg = TrainConfig(epochs=2, batch_size=16, seed=1)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError) as info:
+            fit(corpus, cfg, tcfg)
+        assert str(info.value).startswith("epoch 1, batch 0: non-finite loss")
+        assert "first non-finite group: block0_w1 (value)" in str(info.value)
+
+    def test_non_finite_report_checks_values_then_gradients(self):
+        params = {"a": np.ones(2), "b": np.ones(2)}
+        grads = {"a": np.array([0.0, np.inf]), "b": np.zeros(2)}
+        assert _first_non_finite(params, grads) == "first non-finite group: a (gradient)"
+        params["b"][0] = np.nan
+        assert _first_non_finite(params, grads) == "first non-finite group: b (value)"
+        params["b"][0] = grads["a"][1] = 0.0
+        assert _first_non_finite(params, grads) == "every parameter value and gradient is finite"
 
     def test_trainlog_csv_shape(self):
         log = TrainLog()
