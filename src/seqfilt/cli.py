@@ -2,8 +2,10 @@
 
 Every run directory gets a manifest recording the full configuration,
 the seed, and a checksum of the input data, so a run can be reproduced
-bit-for-bit on the same machine.  Exit codes: 0 success, 1 usage error,
-2 data error, 3 numeric failure.
+bit-for-bit on the same machine.  Every file a command writes goes
+through `model.atomic_open`, so a write that fails leaves the previous
+file as it was.  Exit codes: 0 success, 1 usage error, 2 data error,
+3 numeric failure.
 """
 
 from __future__ import annotations
@@ -200,7 +202,7 @@ def cmd_train(args) -> int:
         "alpha": args.alpha,
     }
     save_checkpoint(out / "checkpoint.bin", params, model_cfg, meta=meta)
-    with open(out / "item_map.json", "w", encoding="utf-8") as fh:
+    with atomic_open(out / "item_map.json", "w", encoding="utf-8") as fh:
         json.dump({str(k): v for k, v in corpus.item_map.items()}, fh, sort_keys=True)
         fh.write("\n")
     manifest["finished"] = _now()
@@ -235,10 +237,10 @@ def cmd_eval(args) -> int:
     report = evaluate(
         split, params, cfg, mode=args.split, batch_size=args.batch, filter_seen=args.filter_seen
     )
-    with open(out / f"report_{args.split}.csv", "w", encoding="utf-8") as fh:
+    with atomic_open(out / f"report_{args.split}.csv", "w", encoding="utf-8") as fh:
         fh.write(report.to_csv())
     table = report.table()
-    with open(out / f"report_{args.split}.txt", "w", encoding="utf-8") as fh:
+    with atomic_open(out / f"report_{args.split}.txt", "w", encoding="utf-8") as fh:
         fh.write(table + "\n")
     print(table)
     return EXIT_OK
@@ -250,7 +252,7 @@ def cmd_export_filters(args) -> int:
     for layer in range(cfg.layers):
         applied = layer_taps(params, layer)[0].real
         path = out / f"filters_layer{layer}.csv"
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path, "w", encoding="utf-8") as fh:
             for row in applied:
                 fh.write(",".join("%.17g" % v for v in row) + "\n")
         print(f"wrote {path} ({applied.shape[0]} x {applied.shape[1]})")
@@ -288,7 +290,7 @@ def cmd_bench(args) -> int:
     unfrozen_times = time_runs(None)
     frozen_times = time_runs(ops)
     speedup = unfrozen_times.mean() / frozen_times.mean()
-    with open(out / "bench.csv", "w", encoding="utf-8") as fh:
+    with atomic_open(out / "bench.csv", "w", encoding="utf-8") as fh:
         fh.write("path,mean_seconds,std_seconds\n")
         fh.write(f"unfrozen,{unfrozen_times.mean():.6g},{unfrozen_times.std():.6g}\n")
         fh.write(f"frozen,{frozen_times.mean():.6g},{frozen_times.std():.6g}\n")

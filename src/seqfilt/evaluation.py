@@ -107,13 +107,17 @@ def aggregate_ranks(ranks, mode, num_empty_context=0, filter_seen=False) -> Eval
 def _batched_ranks(logits, targets, contexts, filter_seen):
     """Vectorized ranks over a batch; matches rank_of_target with the
     padding id excluded (and row i's seen items, the i-th of `contexts`,
-    when requested)."""
+    when requested).  The seen items are masked in one flat scatter:
+    each row's offset in the raveled (B, V) mask, repeated over its
+    context, plus the item ids."""
     b, v = logits.shape
     considered = np.ones((b, v), dtype=bool)
     considered[:, 0] = False
     if filter_seen:
-        for row, context in enumerate(contexts):
-            considered[row, context] = False
+        lengths = np.fromiter(map(len, contexts), dtype=np.intp, count=b)
+        seen = np.concatenate(contexts).astype(np.intp, copy=False)
+        seen += np.repeat(np.arange(0, b * v, v), lengths)
+        considered.ravel()[seen] = False
     rows = np.arange(b)
     considered[rows, targets] = True
     own = logits[rows, targets]
@@ -144,7 +148,7 @@ def evaluate(
     for lo, (ids, targets) in zip(range(0, len(ends), batch_size), batches):
         logits = predict_scores_batch(params, cfg, ids, frozen_ops=ops)
         rows = slice(lo, lo + batch_size)
-        seen = (items[s:e] for s, e in zip(starts[rows], ends[rows]))
+        seen = [items[s:e] for s, e in zip(starts[rows], ends[rows])] if filter_seen else ()
         all_ranks.append(_batched_ranks(logits, targets, seen, filter_seen))
     ranks = np.concatenate(all_ranks)
     num_empty = int(np.count_nonzero(starts == ends))

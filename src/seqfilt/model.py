@@ -31,6 +31,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from . import spectral
 from .nn import (
@@ -280,20 +281,42 @@ def _check_ids(cfg: ModelConfig, ids):
 
 
 def _embed_forward(params, cfg, ids, rng, training):
-    looked = params["emb"][ids]  # (B, N, D)
-    flat = looked.reshape(-1, cfg.dim)
-    normed, ln_cache = layer_norm(flat, params["emb_ln_g"], params["emb_ln_b"], cfg.ln_eps)
-    out, mask = dropout(normed, cfg.dropout, rng, training)
-    return out.reshape(looked.shape), (ids, ln_cache, mask, looked.shape)
+    """Layer-normed embeddings of (B, N) ids, dropped out, as (B, N, D).
+
+    The layer norm of `emb[id]` depends only on the id, so it runs once
+    per distinct id in the batch and the normed rows are gathered after.
+    The distinct ids come from a presence mask over the catalog ids, in
+    O(V + B·N) with no sort: `uniq` lists them in order, and `slot[id]`
+    is an id's row in `uniq`."""
+    present = np.zeros(cfg.num_items + 1, dtype=bool)
+    present[ids] = True
+    uniq = np.flatnonzero(present)
+    slot = np.zeros(len(present), dtype=np.intp)
+    slot[uniq] = np.arange(len(uniq))
+    rows = slot[ids.ravel()]
+    normed, ln_cache = layer_norm(
+        params["emb"][uniq], params["emb_ln_g"], params["emb_ln_b"], cfg.ln_eps
+    )
+    out, mask = dropout(normed[rows], cfg.dropout, rng, training)
+    return out.reshape(ids.shape + (cfg.dim,)), (uniq, rows, ln_cache, mask)
 
 
 def _embed_backward(params, cfg, cache, dx, grads):
-    ids, ln_cache, mask, shape = cache
+    """Sum the gradient per distinct id, then run one layer-norm backward
+    on those sums; that backward is linear in its `dy`, so this equals the
+    per-position backward summed per id.  `uniq` has no repeats, so the
+    result adds straight into its rows of the embedding gradient."""
+    uniq, rows, ln_cache, mask = cache
     flat = dropout_backward(mask, dx.reshape(-1, cfg.dim))
-    d_in, d_gamma, d_beta = layer_norm_backward(ln_cache, flat)
+    positions = len(rows)
+    # one-hot (U, B·N) summing matrix: column p holds a 1 in row rows[p]
+    per_id = sparse.csc_matrix(
+        (np.ones(positions), rows, np.arange(positions + 1)), shape=(len(uniq), positions)
+    ) @ flat
+    d_in, d_gamma, d_beta = layer_norm_backward(ln_cache, per_id)
     grads["emb_ln_g"] += d_gamma
     grads["emb_ln_b"] += d_beta
-    np.add.at(grads["emb"], ids, d_in.reshape(shape))
+    grads["emb"][uniq] += d_in
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +342,18 @@ def _block_forward(params, cfg, layer, x, rng, training, frozen_op=None):
         op = op[-rows:]
         filtered = op @ x
     drop1, mask1 = dropout(filtered, cfg.dropout, rng, training)
-    res1 = x[:, -rows:] + drop1
+    # with a drawn mask drop1 is a fresh array to add into; without one
+    # it is `filtered` itself, which the cache keeps
+    res1 = np.add(drop1, x[:, -rows:], out=None if mask1 is None else drop1)
     f2d, ln1_cache = layer_norm(res1.reshape(-1, cfg.dim), key("ln1_g"), key("ln1_b"), eps)
-    h1 = f2d @ key("w1") + key("b1")
+    h1 = f2d @ key("w1")
+    h1 += key("b1")
     act, act_cache = gelu(h1)
-    h2 = act @ key("w2") + key("b2")
-    drop2_flat, mask2 = dropout(h2, cfg.dropout, rng, training)
-    res2 = f2d + drop2_flat
+    h2 = act @ key("w2")
+    h2 += key("b2")
+    # dropout returns h2 itself or a fresh array: both are this block's own
+    res2, mask2 = dropout(h2, cfg.dropout, rng, training)
+    res2 += f2d
     out2d, ln2_cache = layer_norm(res2, key("ln2_g"), key("ln2_b"), eps)
     cache = (tap_cache, op, x, mask1, ln1_cache, f2d, act, act_cache, mask2, ln2_cache, filtered)
     return out2d.reshape(res1.shape), cache
@@ -339,15 +367,14 @@ def _block_backward(params, cfg, layer, cache, dy, grads):
     d_res2, d_g2, d_b2 = layer_norm_backward(ln2_cache, dy.reshape(-1, cfg.dim))
     gkey("ln2_g")[:] += d_g2
     gkey("ln2_b")[:] += d_b2
-    d_f = d_res2.copy()
     d_h2 = dropout_backward(mask2, d_res2)
     gkey("w2")[:] += act.T @ d_h2
     gkey("b2")[:] += d_h2.sum(axis=0)
-    d_act = d_h2 @ key("w2").T
-    d_h1 = gelu_backward(act_cache, d_act)
+    d_h1 = gelu_backward(act_cache, d_h2 @ key("w2").T)
     gkey("w1")[:] += f2d.T @ d_h1
     gkey("b1")[:] += d_h1.sum(axis=0)
-    d_f += d_h1 @ key("w1").T
+    d_f = d_h1 @ key("w1").T
+    d_f += d_res2
 
     d_res1, d_g1, d_b1 = layer_norm_backward(ln1_cache, d_f)
     gkey("ln1_g")[:] += d_g1

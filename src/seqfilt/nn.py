@@ -4,6 +4,13 @@ Each kernel returns its output together with a cache, and has a matching
 `*_backward` function implementing the exact analytic gradient.  The set
 is deliberately small: just the pieces the encoder needs, all in 64-bit
 floats so finite-difference checks are meaningful.
+
+The row kernels (layer norm, GELU, dropout) run over B·N·D elements per
+call, so they are written to make few passes and few fresh temporaries:
+row means are BLAS products with a 1/D vector, results are built in
+place in the buffers they own, and a dropout mask is the pair
+(keep, scale) of a boolean array and the one scale 1/(1-p) instead of a
+float array.  Dropout draws one float64 uniform per element.
 """
 
 from __future__ import annotations
@@ -48,56 +55,89 @@ class InvalidTarget(ValueError):
 
 
 def layer_norm(x, gamma, beta, eps=1e-12):
-    """Standardize each row of `x`, then scale by gamma and shift by beta."""
+    """Standardize each row of `x`, then scale by gamma and shift by beta.
+
+    Returns (y, (x_hat, inv_std, gamma)); `x_hat` is the centred buffer
+    scaled in place, and `y` reuses the buffer of the squared deviations."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] == 0:
         raise ShapeMismatch(f"layer_norm needs a 2-d input with columns, got {x.shape}")
-    mu = x.mean(axis=1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = centered * inv_std
-    return x_hat * gamma + beta, (x_hat, inv_std, gamma)
+    row_mean = np.full(x.shape[1], 1.0 / x.shape[1])
+    x_hat = x - (x @ row_mean)[:, None]
+    y = np.square(x_hat)
+    inv_std = 1.0 / np.sqrt(y @ row_mean + eps)[:, None]
+    x_hat *= inv_std
+    np.multiply(x_hat, gamma, out=y)
+    y += beta
+    return y, (x_hat, inv_std, gamma)
 
 
 def layer_norm_backward(cache, dy):
+    """dx = inv_std * (dy*gamma - mean(dy*gamma) - x_hat * mean(dy*gamma*x_hat)),
+    with the row means and column sums as BLAS products."""
     x_hat, inv_std, gamma = cache
-    dgamma = (dy * x_hat).sum(axis=0)
-    dbeta = dy.sum(axis=0)
-    dx_hat = dy * gamma
-    dx = inv_std * (
-        dx_hat
-        - dx_hat.mean(axis=1, keepdims=True)
-        - x_hat * (dx_hat * x_hat).mean(axis=1, keepdims=True)
-    )
+    ones = np.ones(len(dy))
+    gamma_mean = gamma / x_hat.shape[1]
+    scratch = dy * x_hat
+    dgamma = ones @ scratch
+    dbeta = ones @ dy
+    # scratch is reused for x_hat * mean(dy*gamma*x_hat) + mean(dy*gamma)
+    np.multiply(x_hat, (scratch @ gamma_mean)[:, None], out=scratch)
+    scratch += (dy @ gamma_mean)[:, None]
+    dx = dy * gamma
+    dx -= scratch
+    dx *= inv_std
     return dx, dgamma, dbeta
 
 
 def gelu(x):
     """Exact GELU x * Phi(x) with Phi the standard normal CDF."""
     x = np.asarray(x, dtype=float)
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = np.multiply(x, _INV_SQRT2)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     return x * cdf, (x, cdf)
 
 
 def gelu_backward(cache, dy):
+    """dy * (Phi(x) + x * phi(x)), built in one buffer."""
     x, cdf = cache
-    pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-    return dy * (cdf + x * pdf)
+    grad = np.multiply(x, -0.5)
+    grad *= x
+    np.exp(grad, out=grad)
+    grad *= _INV_SQRT_2PI
+    grad *= x
+    grad += cdf
+    grad *= dy
+    return grad
 
 
 def dropout(x, rate, rng=None, training=True):
-    """Inverted dropout; identity when not training.  Returns (y, mask)."""
+    """Inverted dropout; identity when not training.  Returns (y, mask).
+
+    The mask is (keep, scale): a boolean array of the kept entries and
+    the scale 1/(1-rate) they are multiplied by, or None when nothing is
+    dropped.  Each call draws x.size float64 uniforms from `rng`."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x, None
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * mask, mask
+    y = rng.random(x.shape)
+    keep = y >= rate
+    scale = 1.0 / (1.0 - rate)
+    np.multiply(x, scale, out=y)
+    y *= keep
+    return y, (keep, scale)
 
 
 def dropout_backward(mask, dy):
-    return dy if mask is None else dy * mask
+    if mask is None:
+        return dy
+    keep, scale = mask
+    dx = dy * scale
+    dx *= keep
+    return dx
 
 
 def softmax_xent(logits, target, exclude=()):

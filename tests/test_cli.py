@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from seqfilt import cli
+from seqfilt import evaluation as ev
 from seqfilt import nn
 from seqfilt import spectral as sp
 from seqfilt import train as tr
@@ -168,6 +169,27 @@ class TestEval:
         assert code == cli.EXIT_OK
         assert (out / "report_test.csv").exists()
         assert "HR" in (out / "report_test.txt").read_text()
+
+    def test_failed_report_write_keeps_previous_report(
+        self, tmp_path, corpus_file, run_dir, capsys, monkeypatch
+    ):
+        out = tmp_path / "eval"
+        argv = [
+            "eval", "--checkpoint", str(run_dir / "checkpoint.bin"),
+            "--data", str(corpus_file), "--out", str(out), "--force",
+        ]
+        assert cli.main(argv) == cli.EXIT_OK
+        before = (out / "report_test.csv").read_bytes()
+
+        def failing_to_csv(self):
+            raise OSError("disk full")
+
+        # the report file is open for writing when its content fails
+        monkeypatch.setattr(ev.EvalReport, "to_csv", failing_to_csv)
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert_one_line_error(capsys)
+        assert (out / "report_test.csv").read_bytes() == before
+        assert not list(out.glob("*.tmp"))
 
     def test_fresh_random_checkpoint_near_uniform(self, tmp_path):
         rng = np.random.default_rng(5)

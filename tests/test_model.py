@@ -154,6 +154,53 @@ class TestEmbedding:
         assert np.abs(x[0] - expected).max() <= 1e-12
 
 
+    @pytest.mark.parametrize("case", ["repeated-ids", "all-pad-rows", "one-distinct-id"])
+    def test_per_id_norm_matches_gather_oracle(self, case):
+        """Norm per distinct id then gather, and the per-id backward, equal
+        gathering every position, normalising it and scattering with
+        np.add.at, at dropout 0.2 under the same seed."""
+        cfg = tiny_config(dropout=0.2)
+        data = np.random.default_rng(5)
+        params = mdl.init_params(cfg, data)
+        params["emb_ln_g"] += data.normal(0.0, 0.3, size=cfg.dim)
+        params["emb_ln_b"] += data.normal(0.0, 0.3, size=cfg.dim)
+        if case == "repeated-ids":
+            ids = data.integers(1, 5, size=(6, 8))
+            ids[3] = ids[1]
+        elif case == "all-pad-rows":
+            ids = data.integers(0, 21, size=(6, 8))
+            ids[[0, 4]] = 0
+        else:
+            ids = np.full((6, 8), 7)
+        dy = data.normal(size=(6, 8, cfg.dim))
+
+        x, cache = mdl._embed_forward(params, cfg, ids, np.random.default_rng(9), True)
+        grads = mdl.zero_grads(params)
+        mdl._embed_backward(params, cfg, cache, dy, grads)
+
+        eps, gamma, beta = cfg.ln_eps, params["emb_ln_g"], params["emb_ln_b"]
+        looked = params["emb"][ids].reshape(-1, cfg.dim)
+        centred = looked - looked.mean(axis=1, keepdims=True)
+        inv_std = 1.0 / np.sqrt((centred**2).mean(axis=1, keepdims=True) + eps)
+        x_hat = centred * inv_std
+        keep = np.random.default_rng(9).random(x_hat.shape) >= 0.2
+        want_x = (x_hat * gamma + beta) * keep / 0.8
+        d_normed = dy.reshape(-1, cfg.dim) * keep / 0.8
+        d_hat = d_normed * gamma
+        d_looked = inv_std * (
+            d_hat
+            - d_hat.mean(axis=1, keepdims=True)
+            - x_hat * (d_hat * x_hat).mean(axis=1, keepdims=True)
+        )
+        want_emb = np.zeros_like(params["emb"])
+        np.add.at(want_emb, ids.ravel(), d_looked)
+
+        assert rel_err(x.reshape(-1, cfg.dim), want_x) <= 1e-12
+        assert rel_err(grads["emb"], want_emb) <= 1e-12
+        assert rel_err(grads["emb_ln_g"], (d_normed * x_hat).sum(axis=0)) <= 1e-12
+        assert rel_err(grads["emb_ln_b"], d_normed.sum(axis=0)) <= 1e-12
+
+
 class TestEncoder:
     def test_identity_filter_zero_ffn_is_double_layer_norm(self, rng):
         cfg = tiny_config()
@@ -225,7 +272,8 @@ class TestEncoder:
                     assert np.abs(got - want).max() <= 1e-12, (mode, layers, frozen is None)
 
     def test_training_step_layer_norm_rows(self, rng, monkeypatch):
-        """Embedding B·N rows, 2·B·N per earlier block, 2·B for the last."""
+        """Embedding one row per distinct id (U of them), 2·B·N per
+        earlier block, 2·B for the last."""
         counted = []
 
         def counting(x, *args, **kwargs):
@@ -240,7 +288,25 @@ class TestEncoder:
             ids = rng.integers(0, 21, size=(b, n))
             counted.clear()
             loss_and_grads(params, cfg, ids, rng.integers(1, 21, size=b), 0.0, rng=rng)
-            assert sum(counted) == b * ((2 * layers - 1) * n + 2)
+            distinct = len(np.unique(ids))
+            assert sum(counted) == distinct + b * (2 * (layers - 1) * n + 2)
+
+    def test_training_step_draws_fixed_uniform_count(self):
+        """One step at dropout 0.2 draws B·D·((2L-1)·N + 2) float64
+        uniforms: B·N·D for the embedding, 2·B·N·D per earlier block and
+        2·B·D for the last; the generator's next draw shows it."""
+        b, n = 6, 8
+        for layers in (1, 2, 3):
+            cfg = tiny_config(layers=layers, dropout=0.2)
+            data = np.random.default_rng(layers)
+            params = mdl.init_params(cfg, data)
+            ids = data.integers(0, 21, size=(b, n))
+            targets = data.integers(1, 21, size=b)
+            rng = np.random.default_rng(44)
+            loss_and_grads(params, cfg, ids, targets, 0.0, rng=rng)
+            fresh = np.random.default_rng(44)
+            fresh.random(b * cfg.dim * ((2 * layers - 1) * n + 2))
+            assert rng.random() == fresh.random()
 
     def test_filter_layer_matches_spectral_causal_filter(self, rng):
         cfg = tiny_config(max_len=6, filter_order=4, num_bases=3, dim=5)
