@@ -64,16 +64,32 @@ class Corpus:
     report: LoadReport | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Split:
     """Per-user leave-one-out split: history prefix, then the two held-out
-    targets (second-to-last for validation, last for testing)."""
+    targets (second-to-last for validation, last for testing).
+
+    Construction also builds the example index once: `items` holds every
+    user's full history (prefix, validation item, test item) back to
+    back, read-only, and user u's history is `items[offsets[u]:offsets[u + 1]]`.
+    The split is frozen, and the lists it is built from must not be
+    changed afterwards, since the index would not follow them."""
 
     users: list
     prefixes: list
     valid_targets: list
     test_targets: list
     num_items: int
+    items: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows = zip(self.prefixes, self.valid_targets, self.test_targets)
+        items = np.fromiter(chain.from_iterable(chain(p, (v, t)) for p, v, t in rows), dtype=np.int64)
+        items.flags.writeable = False
+        sizes = np.fromiter(map(len, self.prefixes), dtype=np.int64, count=len(self.prefixes)) + 2
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "offsets", np.concatenate(([0], np.cumsum(sizes))))
 
 
 def load_corpus(path, min_interactions: int = 5) -> Corpus:
@@ -147,14 +163,11 @@ def train_examples(split: Split):
 def eval_instances(split: Split, mode: str):
     """One example `(items, starts, ends)` per user: the history prefix
     predicts the validation item (`valid`), prefix plus validation item
-    the test item (`test`)."""
+    the test item (`test`).  Offset arithmetic on the split's index."""
     if mode not in ("valid", "test"):
         raise ValueError(f"mode must be 'valid' or 'test', got {mode!r}")
-    rows = zip(split.prefixes, split.valid_targets, split.test_targets)
-    items = np.fromiter(chain.from_iterable(chain(p, (v, t)) for p, v, t in rows), dtype=np.int64)
-    sizes = np.array([len(p) + 2 for p in split.prefixes], dtype=np.int64)
-    starts = np.cumsum(sizes) - sizes
-    return items, starts, starts + sizes - (2 if mode == "valid" else 1)
+    starts, stops = split.offsets[:-1], split.offsets[1:]
+    return split.items, starts, stops - (2 if mode == "valid" else 1)
 
 
 def make_batches(examples, max_len, batch_size, rng=None):

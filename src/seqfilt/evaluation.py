@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import Split, eval_instances, make_batches
 from .model import ModelConfig, freeze_filters, predict_scores_batch
-from .nn import InvalidTarget
+from .nn import InvalidTarget, keep_freed_memory
 
 __all__ = [
     "CUTOFFS",
@@ -137,7 +137,10 @@ def evaluate(
 ) -> EvalReport:
     """Score every user's context, rank the held-out target over the full
     catalog, and average HR/NDCG at each cutoff.  The filters are frozen
-    once on entry, so every batch runs the real operators."""
+    once on entry, so every batch runs the real operators.  It first calls
+    `nn.keep_freed_memory()`, as `fit` does, so batches reuse freed
+    memory instead of faulting it back in."""
+    keep_freed_memory()
     examples = eval_instances(split, mode)
     items, starts, ends = examples
     if not len(ends):

@@ -341,10 +341,10 @@ def _block_forward(params, cfg, layer, x, rng, training, frozen_op=None):
     else:
         op = op[-rows:]
         filtered = op @ x
-    drop1, mask1 = dropout(filtered, cfg.dropout, rng, training)
-    # with a drawn mask drop1 is a fresh array to add into; without one
-    # it is `filtered` itself, which the cache keeps
-    res1 = np.add(drop1, x[:, -rows:], out=None if mask1 is None else drop1)
+    # dropout returns a fresh array or `filtered` itself, which nothing
+    # else reads, so the residual is added in place
+    res1, mask1 = dropout(filtered, cfg.dropout, rng, training)
+    res1 += x[:, -rows:]
     f2d, ln1_cache = layer_norm(res1.reshape(-1, cfg.dim), key("ln1_g"), key("ln1_b"), eps)
     h1 = f2d @ key("w1")
     h1 += key("b1")
@@ -355,12 +355,12 @@ def _block_forward(params, cfg, layer, x, rng, training, frozen_op=None):
     res2, mask2 = dropout(h2, cfg.dropout, rng, training)
     res2 += f2d
     out2d, ln2_cache = layer_norm(res2, key("ln2_g"), key("ln2_b"), eps)
-    cache = (tap_cache, op, x, mask1, ln1_cache, f2d, act, act_cache, mask2, ln2_cache, filtered)
+    cache = (tap_cache, op, x, mask1, ln1_cache, f2d, act, act_cache, mask2, ln2_cache)
     return out2d.reshape(res1.shape), cache
 
 
 def _block_backward(params, cfg, layer, cache, dy, grads):
-    tap_cache, op, x, mask1, ln1_cache, f2d, act, act_cache, mask2, ln2_cache, _ = cache
+    tap_cache, op, x, mask1, ln1_cache, f2d, act, act_cache, mask2, ln2_cache = cache
     key = lambda name: params[block_key(layer, name)]
     gkey = lambda name: grads[block_key(layer, name)]
 

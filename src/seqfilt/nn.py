@@ -11,10 +11,19 @@ row means are BLAS products with a 1/D vector, results are built in
 place in the buffers they own, and a dropout mask is the pair
 (keep, scale) of a boolean array and the one scale 1/(1-p) instead of a
 float array.  Dropout draws one float64 uniform per element.
+
+Each training step allocates and frees hundreds of MB of such
+temporaries.  `keep_freed_memory` sets one process-wide malloc policy
+(glibc only) so that freed blocks stay mapped for the next batch to
+reuse, instead of going back to the OS and being faulted in and zeroed
+again page by page.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import platform
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +33,7 @@ __all__ = [
     "NumericError",
     "ShapeMismatch",
     "InvalidTarget",
+    "keep_freed_memory",
     "layer_norm",
     "layer_norm_backward",
     "gelu",
@@ -41,6 +51,12 @@ __all__ = [
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
+# glibc's mallopt parameters, and the values keep_freed_memory sets
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 * 1024 * 1024  # glibc's largest on 64-bit builds
+_TRIM_THRESHOLD = 1024 * 1024 * 1024
+
 
 class NumericError(RuntimeError):
     """Raised when a computation produces non-finite values."""
@@ -52,6 +68,32 @@ class ShapeMismatch(ValueError):
 
 class InvalidTarget(ValueError):
     pass
+
+
+@functools.cache
+def keep_freed_memory() -> bool:
+    """Keep freed memory mapped for reuse, process-wide; idempotent.
+
+    On glibc, blocks below 32 MiB (M_MMAP_THRESHOLD) come from the heap
+    rather than from their own mmap, and up to 1 GiB of free heap
+    (M_TRIM_THRESHOLD) is kept rather than handed back to the OS, so the
+    next batch's temporaries take no page faults.  Both are set: setting
+    the trim threshold alone turns off glibc's dynamic mmap threshold.
+    The cost is that the resident size stays at its high-water mark.
+    Returns whether both settings took; does nothing on a C library
+    other than glibc or without `mallopt`.  Arithmetic is unaffected."""
+    if platform.libc_ver()[0] != "glibc":
+        return False
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # mallopt returns 1 on success and 0 on failure; the trim threshold
+    # is set only after the mmap threshold took, since alone it would
+    # turn off the dynamic mmap threshold
+    mmap_set = mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
+    return mmap_set and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1
 
 
 def layer_norm(x, gamma, beta, eps=1e-12):
@@ -172,17 +214,19 @@ def softmax_xent_batch(logits, targets):
     excluded from the softmax.  Gradient is already divided by the batch."""
     logits = np.asarray(logits, dtype=float)
     b = logits.shape[0]
-    active = logits[:, 1:]
     if np.any(targets < 1) or np.any(targets >= logits.shape[1]):
         raise InvalidTarget("targets must be valid non-padding item ids")
-    m = active.max(axis=1, keepdims=True)
-    exp = np.exp(active - m)
-    z = exp.sum(axis=1, keepdims=True)
+    m = logits[:, 1:].max(axis=1, keepdims=True)
+    # the one (B, V) buffer: shifted logits, then probabilities, then the
+    # gradient; exp(-inf) zeroes the padding column
+    grad = np.subtract(logits, m)
+    grad[:, 0] = -np.inf
+    np.exp(grad, out=grad)
+    # summed over the same columns as the softmax, so rounding is unchanged
+    z = grad[:, 1:].sum(axis=1, keepdims=True)
+    grad /= z
     rows = np.arange(b)
-    target_logit = logits[rows, targets]
-    losses = (m[:, 0] + np.log(z[:, 0])) - target_logit
-    grad = np.zeros_like(logits)
-    grad[:, 1:] = exp / z
+    losses = (m[:, 0] + np.log(z[:, 0])) - logits[rows, targets]
     grad[rows, targets] -= 1.0
     grad /= b
     return losses.mean(), grad

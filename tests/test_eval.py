@@ -1,10 +1,12 @@
 """Ranking and metric tests, checked against a full-sort oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from seqfilt import evaluation as ev
-from seqfilt.data import Corpus, split_loo
+from seqfilt.data import Corpus, Split, split_loo
 from seqfilt.model import (
     ModelConfig,
     freeze_filters,
@@ -144,11 +146,7 @@ class TestEvaluate:
         assert ranks[0] >= 1
 
     def test_empty_split_errors(self, rng):
-        corpus = make_synthetic(5, 6, 4, rng)
-        split = split_loo(corpus)
-        split.prefixes = []
-        split.valid_targets = []
-        split.test_targets = []
+        split = Split([], [], [], [], 6)
         cfg = ModelConfig(num_items=6, max_len=4, dim=4, layers=1, num_bases=2)
         with pytest.raises(ValueError):
             ev.evaluate(split, init_params(cfg, rng), cfg)
@@ -157,7 +155,7 @@ class TestEvaluate:
         cfg = ModelConfig(num_items=6, max_len=4, dim=4, layers=1, num_bases=2)
         params = init_params(cfg, rng)
         split = split_loo(make_synthetic(4, 6, 4, rng))
-        split.prefixes[0] = []
+        split = replace(split, prefixes=[[]] + split.prefixes[1:])
         report = ev.evaluate(split, params, cfg, mode="valid")
         assert report.num_empty_context == 1
 
@@ -171,7 +169,7 @@ class TestEvaluate:
         ]
         seqs.append([early, 1, 2, 3, 4, 5, 6])
         split = split_loo(Corpus(list(range(11)), seqs, early))
-        split.prefixes[4] = []
+        split = replace(split, prefixes=split.prefixes[:4] + [[]] + split.prefixes[5:])
         cfg = ModelConfig(num_items=early, max_len=4, dim=8, layers=1, num_bases=3)
         params = init_params(cfg, rng)
         for mode in ("valid", "test"):

@@ -216,17 +216,19 @@ class TestEncoder:
 
     def test_causal_mode_blocks_leakage(self, rng):
         # every block but the last outputs all positions: check each of
-        # them through its filter output and the next block's input
+        # them through its filter output, recomputed from the block's
+        # cached input, and through the next block's input
         cfg = tiny_config(layers=3, num_bases=3)
         params = mdl.init_params(cfg, rng)
         ids = rng.integers(1, 21, size=(1, 8))
+        ops = [mdl._tap_operator(cfg, mdl.layer_taps(params, blk)[0]) for blk in range(cfg.layers - 1)]
         _, (_, base_blocks) = mdl.model_forward(params, cfg, ids, training=False)
         for j in (2, 5, 7):
             bumped = ids.copy()
             bumped[0, j] = (ids[0, j] % 20) + 1
             _, (_, blocks) = mdl.model_forward(params, cfg, bumped, training=False)
             for blk in range(cfg.layers - 1):
-                filt_base, filt_new = base_blocks[blk][-1], blocks[blk][-1]
+                filt_base, filt_new = (ops[blk] @ b[blk][2] for b in (base_blocks, blocks))
                 assert np.abs(filt_new[0, :j] - filt_base[0, :j]).max() <= 1e-12
                 out_base, out_new = base_blocks[blk + 1][2], blocks[blk + 1][2]
                 assert np.abs(out_new[0, :j] - out_base[0, :j]).max() <= 1e-12

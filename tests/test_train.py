@@ -1,6 +1,12 @@
 """Training-loop behaviour: objective composition, learning progress,
 early stopping, determinism, and the synthetic corpus generator."""
 
+import json
+import os
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -158,6 +164,38 @@ class TestFit:
         assert _first_non_finite(params, grads) == "first non-finite group: b (value)"
         params["b"][0] = grads["a"][1] = 0.0
         assert _first_non_finite(params, grads) == "every parameter value and gradient is finite"
+
+    @pytest.mark.skipif(
+        platform.libc_ver()[0] != "glibc", reason="the memory policy is set through glibc's mallopt"
+    )
+    def test_steady_state_epochs_take_no_page_faults(self):
+        # in a fresh process, since malloc's thresholds adapt to what the
+        # process freed before; the timer counts minor page faults, so
+        # log.seconds holds each epoch's faults, and after the first epoch
+        # every batch should reuse the memory the one before it freed.
+        # The bound leaves room for one ~1 MB growth of the heap (~260
+        # faults) while fragmentation settles; without the policy each
+        # epoch takes ~40k
+        script = (
+            "import json, resource\n"
+            "import numpy as np\n"
+            "from seqfilt.model import ModelConfig\n"
+            "from seqfilt.train import TrainConfig, fit, make_synthetic\n"
+            "faults = lambda: float(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)\n"
+            "corpus = make_synthetic(120, 50, 20, np.random.default_rng(7))\n"
+            "cfg = ModelConfig(num_items=50, max_len=20, dim=32)\n"
+            "tcfg = TrainConfig(epochs=3, patience=3, seed=7)\n"
+            "print(json.dumps(fit(corpus, cfg, tcfg, timer=faults)[1].seconds))\n"
+        )
+        src = os.path.dirname(os.path.dirname(tr.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        per_epoch = json.loads(done.stdout)
+        assert len(per_epoch) == 3
+        assert all(faults < 1000 for faults in per_epoch[1:]), per_epoch
 
     def test_trainlog_csv_shape(self):
         log = TrainLog()
