@@ -26,6 +26,7 @@ from . import __version__
 from .data import DataError, load_corpus, split_loo
 from .evaluation import evaluate
 from .model import (
+    FILTER_MODES,
     CheckpointError,
     ModelConfig,
     NormalizationError,
@@ -117,7 +118,7 @@ def _build_parser() -> _Parser:
     tr.add_argument("--batch", type=int, default=256)
     tr.add_argument("--patience", type=int, default=10)
     tr.add_argument("--seed", type=int, default=42)
-    tr.add_argument("--mode", choices=("causal", "circular"), default="causal")
+    tr.add_argument("--mode", choices=FILTER_MODES, default="causal")
     tr.add_argument("--min-interactions", type=int, default=5)
     tr.add_argument("--out", required=True)
     tr.add_argument("--force", action="store_true")
@@ -147,8 +148,6 @@ def _build_parser() -> _Parser:
 
 
 def cmd_train(args) -> int:
-    if not 0.0 <= args.dropout < 1.0:
-        raise CliUsageError(f"--dropout must be in [0, 1), got {args.dropout}")
     data_path = Path(args.data)
     if not data_path.exists():
         raise DataError(f"data file {data_path} does not exist")

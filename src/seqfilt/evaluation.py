@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import Split, eval_instances, make_batches
 from .model import ModelConfig, freeze_filters, predict_scores_batch
-from .nn import InvalidTarget, keep_freed_memory
+from .nn import InvalidTarget
 
 __all__ = [
     "CUTOFFS",
@@ -96,35 +96,35 @@ def aggregate_ranks(ranks, mode, num_empty_context=0, filter_seen=False) -> Eval
     if ranks.size == 0:
         raise ValueError("cannot aggregate an empty set of ranks")
     hr, ndcg = {}, {}
+    gain = 1.0 / np.log2(ranks + 1)
     for r in CUTOFFS:
         hit = ranks <= r
         hr[r] = float(hit.mean())
-        gains = np.where(hit, 1.0 / np.log2(ranks + 1), 0.0)
-        ndcg[r] = float(gains.mean())
+        ndcg[r] = float(np.where(hit, gain, 0.0).mean())
     return EvalReport(mode, int(ranks.size), num_empty_context, filter_seen, hr, ndcg)
 
 
-def _batched_ranks(logits, targets, contexts, filter_seen):
+def _batched_ranks(logits, targets, contexts=()):
     """Vectorized ranks over a batch; matches rank_of_target with the
-    padding id excluded (and row i's seen items, the i-th of `contexts`,
-    when requested).  The seen items are masked in one flat scatter:
-    each row's offset in the raveled (B, V) mask, repeated over its
-    context, plus the item ids."""
+    padding id excluded, and row i's seen items (the i-th of `contexts`)
+    when given.  Overwrites `logits`: once each row's own score is read,
+    the excluded entries are set to -inf, so they never count as better
+    or tied; the target never counts either, so a seen target needs no
+    special case.  The seen items are set in one flat scatter: each row's
+    offset in the raveled (B, V) logits, repeated over its context, plus
+    the item ids."""
     b, v = logits.shape
-    considered = np.ones((b, v), dtype=bool)
-    considered[:, 0] = False
-    if filter_seen:
+    rows = np.arange(b)
+    own = logits[rows, targets][:, None]
+    logits[:, 0] = -np.inf
+    if len(contexts):
         lengths = np.fromiter(map(len, contexts), dtype=np.intp, count=b)
         seen = np.concatenate(contexts).astype(np.intp, copy=False)
         seen += np.repeat(np.arange(0, b * v, v), lengths)
-        considered.ravel()[seen] = False
-    rows = np.arange(b)
-    considered[rows, targets] = True
-    own = logits[rows, targets]
-    better = (logits > own[:, None]) & considered
-    ids = np.arange(v)[None, :]
-    tied_lower = (logits == own[:, None]) & considered & (ids < targets[:, None])
-    return 1 + better.sum(axis=1) + tied_lower.sum(axis=1)
+        logits.ravel()[seen] = -np.inf
+    better = np.count_nonzero(logits > own, axis=1)
+    tied_lower = np.count_nonzero((logits == own) & (np.arange(v) < targets[:, None]), axis=1)
+    return 1 + better + tied_lower
 
 
 def evaluate(
@@ -137,10 +137,7 @@ def evaluate(
 ) -> EvalReport:
     """Score every user's context, rank the held-out target over the full
     catalog, and average HR/NDCG at each cutoff.  The filters are frozen
-    once on entry, so every batch runs the real operators.  It first calls
-    `nn.keep_freed_memory()`, as `fit` does, so batches reuse freed
-    memory instead of faulting it back in."""
-    keep_freed_memory()
+    once on entry, so every batch runs the real operators."""
     examples = eval_instances(split, mode)
     items, starts, ends = examples
     if not len(ends):
@@ -152,7 +149,7 @@ def evaluate(
         logits = predict_scores_batch(params, cfg, ids, frozen_ops=ops)
         rows = slice(lo, lo + batch_size)
         seen = [items[s:e] for s, e in zip(starts[rows], ends[rows])] if filter_seen else ()
-        all_ranks.append(_batched_ranks(logits, targets, seen, filter_seen))
+        all_ranks.append(_batched_ranks(logits, targets, seen))
     ranks = np.concatenate(all_ranks)
     num_empty = int(np.count_nonzero(starts == ends))
     return aggregate_ranks(ranks, mode, num_empty, filter_seen)

@@ -66,6 +66,10 @@ __all__ = [
 
 FILTER_MODES = ("causal", "circular")
 
+# config keys that earlier checkpoints carry, each with the one value
+# they always held; `from_dict` drops a key only when it holds that value
+_RETIRED_KEYS = {"ln_eps": 1e-12, "ffn_hidden": None}
+
 
 class NormalizationError(RuntimeError):
     """A basis row has zero norm, so the filter cannot be normalized."""
@@ -89,8 +93,6 @@ class ModelConfig:
     filter_order: int | None = None
     dropout: float = 0.2
     filter_mode: str = "causal"
-    ln_eps: float = 1e-12
-    ffn_hidden: int | None = None
 
     def __post_init__(self):
         if self.num_items < 1:
@@ -107,23 +109,20 @@ class ModelConfig:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.filter_mode not in FILTER_MODES:
             raise ValueError(f"filter_mode must be one of {FILTER_MODES}")
-        if self.ln_eps <= 0:
-            raise ValueError("ln_eps must be positive")
 
     @property
     def order(self) -> int:
         return self.max_len if self.filter_order is None else self.filter_order
-
-    @property
-    def hidden(self) -> int:
-        return self.dim if self.ffn_hidden is None else self.ffn_hidden
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        return cls(**data)
+        return cls(**{
+            key: value for key, value in data.items()
+            if key not in _RETIRED_KEYS or value != _RETIRED_KEYS[key]
+        })
 
 
 def block_key(layer: int, name: str) -> str:
@@ -132,16 +131,16 @@ def block_key(layer: int, name: str) -> str:
 
 def param_shapes(cfg: ModelConfig) -> dict:
     """Shape of every parameter group, in the order `init_params` draws them."""
-    d, n, m, k, h = cfg.dim, cfg.max_len, cfg.num_bases, cfg.order, cfg.hidden
+    d, n, m, k = cfg.dim, cfg.max_len, cfg.num_bases, cfg.order
     shapes = {"emb": (cfg.num_items + 1, d), "emb_ln_g": (d,), "emb_ln_b": (d,)}
     for layer in range(cfg.layers):
         block = {
             "coef": (n, m),
             "basis_re": (m, k + 1),
             "basis_im": (m, k + 1),
-            "w1": (d, h),
-            "b1": (h,),
-            "w2": (h, d),
+            "w1": (d, d),
+            "b1": (d,),
+            "w2": (d, d),
             "b2": (d,),
             "ln1_g": (d,),
             "ln1_b": (d,),
@@ -294,9 +293,7 @@ def _embed_forward(params, cfg, ids, rng, training):
     slot = np.zeros(len(present), dtype=np.intp)
     slot[uniq] = np.arange(len(uniq))
     rows = slot[ids.ravel()]
-    normed, ln_cache = layer_norm(
-        params["emb"][uniq], params["emb_ln_g"], params["emb_ln_b"], cfg.ln_eps
-    )
+    normed, ln_cache = layer_norm(params["emb"][uniq], params["emb_ln_g"], params["emb_ln_b"])
     out, mask = dropout(normed[rows], cfg.dropout, rng, training)
     return out.reshape(ids.shape + (cfg.dim,)), (uniq, rows, ln_cache, mask)
 
@@ -328,7 +325,6 @@ def _block_forward(params, cfg, layer, x, rng, training, frozen_op=None):
     block reaches the head, and everything after the filter is
     position-wise, so the last block applies only row N-1 of its filter
     and runs on B rows; the others output all N positions."""
-    eps = cfg.ln_eps
     key = lambda name: params[block_key(layer, name)]
     rows = 1 if layer == cfg.layers - 1 else cfg.max_len
     op, tap_cache = frozen_op, None
@@ -345,7 +341,7 @@ def _block_forward(params, cfg, layer, x, rng, training, frozen_op=None):
     # else reads, so the residual is added in place
     res1, mask1 = dropout(filtered, cfg.dropout, rng, training)
     res1 += x[:, -rows:]
-    f2d, ln1_cache = layer_norm(res1.reshape(-1, cfg.dim), key("ln1_g"), key("ln1_b"), eps)
+    f2d, ln1_cache = layer_norm(res1.reshape(-1, cfg.dim), key("ln1_g"), key("ln1_b"))
     h1 = f2d @ key("w1")
     h1 += key("b1")
     act, act_cache = gelu(h1)
@@ -354,7 +350,7 @@ def _block_forward(params, cfg, layer, x, rng, training, frozen_op=None):
     # dropout returns h2 itself or a fresh array: both are this block's own
     res2, mask2 = dropout(h2, cfg.dropout, rng, training)
     res2 += f2d
-    out2d, ln2_cache = layer_norm(res2, key("ln2_g"), key("ln2_b"), eps)
+    out2d, ln2_cache = layer_norm(res2, key("ln2_g"), key("ln2_b"))
     cache = (tap_cache, op, x, mask1, ln1_cache, f2d, act, act_cache, mask2, ln2_cache)
     return out2d.reshape(res1.shape), cache
 

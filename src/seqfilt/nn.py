@@ -13,16 +13,19 @@ place in the buffers they own, and a dropout mask is the pair
 float array.  Dropout draws one float64 uniform per element.
 
 Each training step allocates and frees hundreds of MB of such
-temporaries.  `keep_freed_memory` sets one process-wide malloc policy
-(glibc only) so that freed blocks stay mapped for the next batch to
-reuse, instead of going back to the OS and being faulted in and zeroed
+temporaries, and each prediction tens of MB.  Importing this module,
+which every `seqfilt` module does, sets one process-wide malloc policy
+(glibc only) so that freed blocks stay mapped for the next batch or call
+to reuse, instead of going back to the OS and being faulted in and zeroed
 again page by page.
+
+The layer-norm epsilon and Adam's betas and epsilon are module
+constants, not parameters.
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
 import platform
 from dataclasses import dataclass, field
 
@@ -33,7 +36,6 @@ __all__ = [
     "NumericError",
     "ShapeMismatch",
     "InvalidTarget",
-    "keep_freed_memory",
     "layer_norm",
     "layer_norm_backward",
     "gelu",
@@ -50,8 +52,10 @@ __all__ = [
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_LN_EPS = 1e-12
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
-# glibc's mallopt parameters, and the values keep_freed_memory sets
+# glibc's mallopt parameters, and the values _keep_freed_memory sets
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD = 32 * 1024 * 1024  # glibc's largest on 64-bit builds
@@ -70,9 +74,9 @@ class InvalidTarget(ValueError):
     pass
 
 
-@functools.cache
-def keep_freed_memory() -> bool:
-    """Keep freed memory mapped for reuse, process-wide; idempotent.
+def _keep_freed_memory() -> None:
+    """Keep freed memory mapped for reuse, process-wide; run once, below,
+    when this module is imported.
 
     On glibc, blocks below 32 MiB (M_MMAP_THRESHOLD) come from the heap
     rather than from their own mmap, and up to 1 GiB of free heap
@@ -80,23 +84,26 @@ def keep_freed_memory() -> bool:
     next batch's temporaries take no page faults.  Both are set: setting
     the trim threshold alone turns off glibc's dynamic mmap threshold.
     The cost is that the resident size stays at its high-water mark.
-    Returns whether both settings took; does nothing on a C library
-    other than glibc or without `mallopt`.  Arithmetic is unaffected."""
+    Does nothing on a C library other than glibc or without `mallopt`.
+    Arithmetic is unaffected."""
     if platform.libc_ver()[0] != "glibc":
-        return False
+        return
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is None:
-        return False
+        return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     # mallopt returns 1 on success and 0 on failure; the trim threshold
     # is set only after the mmap threshold took, since alone it would
     # turn off the dynamic mmap threshold
-    mmap_set = mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
-    return mmap_set and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1:
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
-def layer_norm(x, gamma, beta, eps=1e-12):
+_keep_freed_memory()
+
+
+def layer_norm(x, gamma, beta):
     """Standardize each row of `x`, then scale by gamma and shift by beta.
 
     Returns (y, (x_hat, inv_std, gamma)); `x_hat` is the centred buffer
@@ -107,7 +114,7 @@ def layer_norm(x, gamma, beta, eps=1e-12):
     row_mean = np.full(x.shape[1], 1.0 / x.shape[1])
     x_hat = x - (x @ row_mean)[:, None]
     y = np.square(x_hat)
-    inv_std = 1.0 / np.sqrt(y @ row_mean + eps)[:, None]
+    inv_std = 1.0 / np.sqrt(y @ row_mean + _LN_EPS)[:, None]
     x_hat *= inv_std
     np.multiply(x_hat, gamma, out=y)
     y += beta
@@ -256,16 +263,13 @@ class AdamState:
     """First/second moment accumulators plus the shared step counter."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
 
-def adam_init(params, lr, beta1=0.9, beta2=0.999, eps=1e-8) -> AdamState:
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+def adam_init(params, lr) -> AdamState:
+    state = AdamState(lr=lr)
     for key, value in params.items():
         state.m[key] = np.zeros_like(value)
         state.v[key] = np.zeros_like(value)
@@ -276,8 +280,8 @@ def adam_step(params, grads, state: AdamState) -> None:
     """One bias-corrected Adam update, in place."""
     state.step += 1
     t = state.step
-    correct1 = 1.0 - state.beta1**t
-    correct2 = 1.0 - state.beta2**t
+    correct1 = 1.0 - _BETA1**t
+    correct2 = 1.0 - _BETA2**t
     for key, p in params.items():
         g = grads[key]
         if g.shape != p.shape:
@@ -287,8 +291,8 @@ def adam_step(params, grads, state: AdamState) -> None:
             )
         m = state.m[key]
         v = state.v[key]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / correct1) / (np.sqrt(v / correct2) + state.eps)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * (g * g)
+        p -= state.lr * (m / correct1) / (np.sqrt(v / correct2) + _ADAM_EPS)

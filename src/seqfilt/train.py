@@ -17,7 +17,7 @@ import numpy as np
 from .data import Corpus, DataError, make_batches, split_loo, train_examples
 from .evaluation import evaluate
 from .model import ModelConfig, atomic_open, block_key, init_params, model_backward, model_forward, score_logits, zero_grads
-from .nn import NumericError, adam_init, adam_step, keep_freed_memory, ortho_penalty, softmax_xent_batch
+from .nn import NumericError, adam_init, adam_step, ortho_penalty, softmax_xent_batch
 
 __all__ = [
     "TrainConfig",
@@ -136,11 +136,7 @@ def fit(
     `patience` epochs without improvement and the best-epoch snapshot is
     the one returned.  `on_epoch`, if given, is called with the TrainLog
     after every epoch, so a run that fails later still leaves its record.
-    It first calls `nn.keep_freed_memory()`, so each batch reuses the
-    memory the last one freed; the process's resident size then stays at
-    its high-water mark after `fit` returns.
     """
-    keep_freed_memory()
     rng = np.random.default_rng(train_cfg.seed)
     split = split_loo(corpus)
     examples = train_examples(split)

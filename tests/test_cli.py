@@ -97,15 +97,6 @@ class TestTrain:
     def test_missing_data_flag_is_usage_error(self, tmp_path):
         assert cli.main(["train", "--out", str(tmp_path / "x")]) == cli.EXIT_USAGE
 
-    def test_bad_dropout_rejected(self, tmp_path, corpus_file):
-        code = cli.main(
-            [
-                "train", "--data", str(corpus_file),
-                "--out", str(tmp_path / "bad"), "--dropout", "1.0",
-            ]
-        )
-        assert code == cli.EXIT_USAGE
-
     @pytest.mark.parametrize(
         "flags",
         [
@@ -113,8 +104,9 @@ class TestTrain:
             ["--m", "100", "--max-len", "10"],
             ["--epochs", "0"],
             ["--lr", "-1"],
+            ["--dropout", "1.0"],
         ],
-        ids=["max-len-0", "m-above-max-len", "epochs-0", "negative-lr"],
+        ids=["max-len-0", "m-above-max-len", "epochs-0", "negative-lr", "dropout-1.0"],
     )
     def test_invalid_config_is_usage_error(self, tmp_path, corpus_file, capsys, flags):
         out = tmp_path / "bad"
@@ -241,8 +233,12 @@ class TestEval:
             lambda header: header.pop("total_bytes"),
             lambda header: header["config"].update(unknown_key=1),
             lambda header: header["manifest"]["emb"].update(offset=10**6),
+            lambda header: header["config"].update(ln_eps=1e-5),
         ],
-        ids=["missing-total-bytes", "unknown-config-key", "offset-past-data"],
+        ids=[
+            "missing-total-bytes", "unknown-config-key", "offset-past-data",
+            "retired-key-other-value",
+        ],
     )
     def test_malformed_header_is_data_error(self, tmp_path, corpus_file, run_dir, capsys, edit):
         ckpt = tmp_path / "checkpoint.bin"
@@ -260,6 +256,19 @@ class TestEval:
         assert code == cli.EXIT_DATA
         assert_one_line_error(capsys)
         assert not out.exists()
+
+    def test_header_with_retired_keys_loads(self, tmp_path, run_dir):
+        # checkpoints written while the layer-norm epsilon and the FFN
+        # width were config fields carry them with these values
+        ckpt = tmp_path / "checkpoint.bin"
+        ckpt.write_bytes((run_dir / "checkpoint.bin").read_bytes())
+        rewrite_header(ckpt, lambda header: header["config"].update(ln_eps=1e-12, ffn_hidden=None))
+        params, cfg, meta = load_checkpoint(ckpt)
+        want_params, want_cfg, want_meta = load_checkpoint(run_dir / "checkpoint.bin")
+        assert cfg == want_cfg and meta == want_meta
+        assert params.keys() == want_params.keys()
+        for key, want in want_params.items():
+            assert params[key].tobytes() == want.tobytes()
 
     def test_zero_batch_rejected(self, tmp_path, corpus_file, run_dir, capsys):
         out = tmp_path / "out"

@@ -126,7 +126,7 @@ class TestEvaluate:
     def test_batched_ranks_match_scalar(self, rng):
         logits = rng.normal(size=(40, 25))
         targets = rng.integers(1, 25, size=40)
-        batched = ev._batched_ranks(logits, targets, [[] for _ in range(40)], False)
+        batched = ev._batched_ranks(logits.copy(), targets)
         for i in range(40):
             assert batched[i] == ev.rank_of_target(logits[i], targets[i], exclude={0})
 
@@ -134,15 +134,15 @@ class TestEvaluate:
         logits = np.zeros((1, 6))
         logits[0, 3] = 5.0  # seen item scores highest
         targets = np.array([2])
-        plain = ev._batched_ranks(logits, targets, [[3]], False)
-        filtered = ev._batched_ranks(logits, targets, [[3]], True)
+        plain = ev._batched_ranks(logits.copy(), targets)
+        filtered = ev._batched_ranks(logits.copy(), targets, [[3]])
         assert plain[0] == filtered[0] + 1
 
     def test_filter_seen_never_drops_target(self, rng):
         logits = np.zeros((1, 6))
         targets = np.array([2])
         # target already interacted with (repeat consumption)
-        ranks = ev._batched_ranks(logits, targets, [[2, 4]], True)
+        ranks = ev._batched_ranks(logits, targets, [[2, 4]])
         assert ranks[0] >= 1
 
     def test_empty_split_errors(self, rng):

@@ -146,10 +146,7 @@ class TestEmbedding:
         ids = np.zeros((1, 8), dtype=int)
         x, _ = mdl._embed_forward(params, cfg, ids, None, False)
         expected, _ = nn.layer_norm(
-            np.tile(params["emb"][0], (8, 1)),
-            params["emb_ln_g"],
-            params["emb_ln_b"],
-            cfg.ln_eps,
+            np.tile(params["emb"][0], (8, 1)), params["emb_ln_g"], params["emb_ln_b"]
         )
         assert np.abs(x[0] - expected).max() <= 1e-12
 
@@ -178,7 +175,7 @@ class TestEmbedding:
         grads = mdl.zero_grads(params)
         mdl._embed_backward(params, cfg, cache, dy, grads)
 
-        eps, gamma, beta = cfg.ln_eps, params["emb_ln_g"], params["emb_ln_b"]
+        eps, gamma, beta = 1e-12, params["emb_ln_g"], params["emb_ln_b"]
         looked = params["emb"][ids].reshape(-1, cfg.dim)
         centred = looked - looked.mean(axis=1, keepdims=True)
         inv_std = 1.0 / np.sqrt((centred**2).mean(axis=1, keepdims=True) + eps)
@@ -209,8 +206,8 @@ class TestEncoder:
         x0, _ = mdl._embed_forward(params, cfg, ids, None, False)
         out, _ = mdl.model_forward(params, cfg, ids, training=False)
         flat = (2.0 * x0).reshape(-1, cfg.dim)
-        inner, _ = nn.layer_norm(flat, params["block0_ln1_g"], params["block0_ln1_b"], cfg.ln_eps)
-        direct, _ = nn.layer_norm(inner, params["block0_ln2_g"], params["block0_ln2_b"], cfg.ln_eps)
+        inner, _ = nn.layer_norm(flat, params["block0_ln1_g"], params["block0_ln1_b"])
+        direct, _ = nn.layer_norm(inner, params["block0_ln2_g"], params["block0_ln2_b"])
         last = direct.reshape(2, 8, cfg.dim)[:, -1]
         assert np.abs(out - last).max() <= 1e-12
 
@@ -254,9 +251,9 @@ class TestEncoder:
             x, _ = mdl._embed_forward(params, cfg, ids, None, False)
             for layer, op in enumerate(ops):
                 p = lambda name: params[mdl.block_key(layer, name)]
-                f, _ = nn.layer_norm((x + op @ x).reshape(-1, cfg.dim), p("ln1_g"), p("ln1_b"), cfg.ln_eps)
+                f, _ = nn.layer_norm((x + op @ x).reshape(-1, cfg.dim), p("ln1_g"), p("ln1_b"))
                 h = nn.gelu(f @ p("w1") + p("b1"))[0] @ p("w2") + p("b2")
-                out, _ = nn.layer_norm(f + h, p("ln2_g"), p("ln2_b"), cfg.ln_eps)
+                out, _ = nn.layer_norm(f + h, p("ln2_g"), p("ln2_b"))
                 x = out.reshape(x.shape)
             return x[:, -1]
 

@@ -30,6 +30,22 @@ def small_setup(rng, **cfg_overrides):
     return cfg, params, ids, targets
 
 
+def run_fresh(script):
+    """JSON printed by `script` run in a fresh interpreter, whose malloc
+    state is not shaped by what this process allocated and freed before."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tr.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+glibc_only = pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="the memory policy is set through glibc's mallopt"
+)
+
+
 class TestLossAndGrads:
     def test_alpha_zero_is_pure_cross_entropy(self, rng):
         cfg, params, ids, targets = small_setup(rng)
@@ -165,17 +181,13 @@ class TestFit:
         params["b"][0] = grads["a"][1] = 0.0
         assert _first_non_finite(params, grads) == "every parameter value and gradient is finite"
 
-    @pytest.mark.skipif(
-        platform.libc_ver()[0] != "glibc", reason="the memory policy is set through glibc's mallopt"
-    )
+    @glibc_only
     def test_steady_state_epochs_take_no_page_faults(self):
-        # in a fresh process, since malloc's thresholds adapt to what the
-        # process freed before; the timer counts minor page faults, so
-        # log.seconds holds each epoch's faults, and after the first epoch
-        # every batch should reuse the memory the one before it freed.
-        # The bound leaves room for one ~1 MB growth of the heap (~260
-        # faults) while fragmentation settles; without the policy each
-        # epoch takes ~40k
+        # the timer counts minor page faults, so log.seconds holds each
+        # epoch's faults, and after the first epoch every batch should
+        # reuse the memory the one before it freed.  The bound leaves room
+        # for one ~1 MB growth of the heap (~260 faults) while
+        # fragmentation settles; without the policy each epoch takes ~40k
         script = (
             "import json, resource\n"
             "import numpy as np\n"
@@ -187,15 +199,35 @@ class TestFit:
             "tcfg = TrainConfig(epochs=3, patience=3, seed=7)\n"
             "print(json.dumps(fit(corpus, cfg, tcfg, timer=faults)[1].seconds))\n"
         )
-        src = os.path.dirname(os.path.dirname(tr.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
-        )
-        assert done.returncode == 0, done.stderr
-        per_epoch = json.loads(done.stdout)
+        per_epoch = run_fresh(script)
         assert len(per_epoch) == 3
         assert all(faults < 1000 for faults in per_epoch[1:]), per_epoch
+
+    @glibc_only
+    def test_prediction_alone_takes_no_page_faults(self):
+        # a process that only predicts, with no fit or evaluate, still runs
+        # under the policy importing seqfilt sets: after the first call
+        # every call reuses the memory the one before it freed; without
+        # the policy each call takes ~5k faults
+        script = (
+            "import json, resource\n"
+            "import numpy as np\n"
+            "from seqfilt.model import ModelConfig, freeze_filters, init_params, predict_scores_batch\n"
+            "faults = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "rng = np.random.default_rng(7)\n"
+            "cfg = ModelConfig(num_items=500, max_len=50, dim=64)\n"
+            "params = init_params(cfg, rng)\n"
+            "ops = freeze_filters(params, cfg)\n"
+            "ids = rng.integers(1, 501, size=(256, 50))\n"
+            "per_call = []\n"
+            "for _ in range(5):\n"
+            "    before = faults()\n"
+            "    predict_scores_batch(params, cfg, ids, frozen_ops=ops)\n"
+            "    per_call.append(faults() - before)\n"
+            "print(json.dumps(per_call))\n"
+        )
+        per_call = run_fresh(script)
+        assert all(faults < 1000 for faults in per_call[1:]), per_call
 
     def test_trainlog_csv_shape(self):
         log = TrainLog()
