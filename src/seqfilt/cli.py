@@ -66,16 +66,18 @@ def _sha256(path) -> str:
 
 
 def _source_id() -> str:
+    """Git revision of the checkout this package runs from, or "unknown"."""
     try:
         rev = subprocess.run(
             ["git", "rev-parse", "HEAD"],
+            cwd=Path(__file__).parent,
             capture_output=True,
             text=True,
             timeout=5,
         )
         if rev.returncode == 0:
             return rev.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         pass
     return "unknown"
 

@@ -96,23 +96,26 @@ def load_corpus(path, min_interactions: int = 5) -> Corpus:
     min_keep = max(3, min_interactions)
     raw = {}
     order = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split()
-            try:
-                values = [int(tok) for tok in fields]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-integer token") from exc
-            user, items = values[0], values[1:]
-            if any(item < 1 for item in items):
-                raise DataError(f"{path}:{lineno}: item ids must be >= 1")
-            if user in raw:
-                raise DataError(f"{path}:{lineno}: duplicate user {user}")
-            raw[user] = items
-            order.append(user)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                fields = line.split()
+                try:
+                    values = [int(tok) for tok in fields]
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: non-integer token") from exc
+                user, items = values[0], values[1:]
+                if any(item < 1 for item in items):
+                    raise DataError(f"{path}:{lineno}: item ids must be >= 1")
+                if user in raw:
+                    raise DataError(f"{path}:{lineno}: duplicate user {user}")
+                raw[user] = items
+                order.append(user)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not raw:
         raise DataError(f"{path}: empty corpus")
 

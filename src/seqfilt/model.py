@@ -20,6 +20,7 @@ norms and the orthogonality penalty.
 Parameters live in a flat dict of float64 arrays so the optimizer and the
 gradient checks can treat every group uniformly.  Forward passes return
 caches that the matching backward passes consume; there is no tape.
+Each backward pass returns the gradients of its own groups.
 """
 
 from __future__ import annotations
@@ -163,10 +164,6 @@ def init_params(cfg: ModelConfig, rng) -> dict:
     return params
 
 
-def zero_grads(params: dict) -> dict:
-    return {key: np.zeros_like(value) for key, value in params.items()}
-
-
 # ---------------------------------------------------------------------------
 # filter construction H = C @ (B / ||B row||)
 
@@ -298,11 +295,11 @@ def _embed_forward(params, cfg, ids, rng, training):
     return out.reshape(ids.shape + (cfg.dim,)), (uniq, rows, ln_cache, mask)
 
 
-def _embed_backward(params, cfg, cache, dx, grads):
+def _embed_backward(cfg, cache, dx, d_emb):
     """Sum the gradient per distinct id, then run one layer-norm backward
     on those sums; that backward is linear in its `dy`, so this equals the
     per-position backward summed per id.  `uniq` has no repeats, so the
-    result adds straight into its rows of the embedding gradient."""
+    result adds straight into its rows of `d_emb`, the head's gradient."""
     uniq, rows, ln_cache, mask = cache
     flat = dropout_backward(mask, dx.reshape(-1, cfg.dim))
     positions = len(rows)
@@ -311,9 +308,8 @@ def _embed_backward(params, cfg, cache, dx, grads):
         (np.ones(positions), rows, np.arange(positions + 1)), shape=(len(uniq), positions)
     ) @ flat
     d_in, d_gamma, d_beta = layer_norm_backward(ln_cache, per_id)
-    grads["emb_ln_g"] += d_gamma
-    grads["emb_ln_b"] += d_beta
-    grads["emb"][uniq] += d_in
+    d_emb[uniq] += d_in
+    return {"emb": d_emb, "emb_ln_g": d_gamma, "emb_ln_b": d_beta}
 
 
 # ---------------------------------------------------------------------------
@@ -355,35 +351,29 @@ def _block_forward(params, cfg, layer, x, rng, training, frozen_op=None):
     return out2d.reshape(res1.shape), cache
 
 
-def _block_backward(params, cfg, layer, cache, dy, grads):
+def _block_backward(params, cfg, layer, cache, dy):
+    """Gradient of the block's input, and of its 11 groups keyed as in `params`."""
     tap_cache, op, x, mask1, ln1_cache, f2d, act, act_cache, mask2, ln2_cache = cache
     key = lambda name: params[block_key(layer, name)]
-    gkey = lambda name: grads[block_key(layer, name)]
+    g = {}
 
-    d_res2, d_g2, d_b2 = layer_norm_backward(ln2_cache, dy.reshape(-1, cfg.dim))
-    gkey("ln2_g")[:] += d_g2
-    gkey("ln2_b")[:] += d_b2
+    d_res2, g["ln2_g"], g["ln2_b"] = layer_norm_backward(ln2_cache, dy.reshape(-1, cfg.dim))
     d_h2 = dropout_backward(mask2, d_res2)
-    gkey("w2")[:] += act.T @ d_h2
-    gkey("b2")[:] += d_h2.sum(axis=0)
+    g["w2"] = act.T @ d_h2
+    g["b2"] = d_h2.sum(axis=0)
     d_h1 = gelu_backward(act_cache, d_h2 @ key("w2").T)
-    gkey("w1")[:] += f2d.T @ d_h1
-    gkey("b1")[:] += d_h1.sum(axis=0)
+    g["w1"] = f2d.T @ d_h1
+    g["b1"] = d_h1.sum(axis=0)
     d_f = d_h1 @ key("w1").T
     d_f += d_res2
 
-    d_res1, d_g1, d_b1 = layer_norm_backward(ln1_cache, d_f)
-    gkey("ln1_g")[:] += d_g1
-    gkey("ln1_b")[:] += d_b1
+    d_res1, g["ln1_g"], g["ln1_b"] = layer_norm_backward(ln1_cache, d_f)
     d_res1 = d_res1.reshape(len(x), len(op), cfg.dim)
     d_filtered = dropout_backward(mask1, d_res1)
     dx, d_taps = _operator_backward(cfg, op, x, d_filtered)
-    d_coef, d_bre, d_bim = build_tap_matrix_backward(tap_cache, d_taps)
-    gkey("coef")[:] += d_coef
-    gkey("basis_re")[:] += d_bre
-    gkey("basis_im")[:] += d_bim
+    g["coef"], g["basis_re"], g["basis_im"] = build_tap_matrix_backward(tap_cache, d_taps)
     dx[:, -len(op):] += d_res1
-    return dx
+    return dx, {block_key(layer, name): grad for name, grad in g.items()}
 
 
 def model_forward(params, cfg, ids, rng=None, training=False, frozen_ops=None):
@@ -399,13 +389,17 @@ def model_forward(params, cfg, ids, rng=None, training=False, frozen_ops=None):
     return x[:, -1], (emb_cache, block_caches)
 
 
-def model_backward(params, cfg, cache, dx, grads):
-    """Accumulate into `grads` the gradients of a scalar whose gradient
-    with respect to `model_forward`'s (B, D) output is `dx`."""
+def model_backward(params, cfg, cache, dx, d_emb):
+    """Gradients, keyed as in `params`, of a scalar whose gradient with
+    respect to `model_forward`'s (B, D) output is `dx`; the encoder's rows
+    of the table's gradient are added into `d_emb`, the tied head's."""
     emb_cache, block_caches = cache
+    grads = {}
     for layer in reversed(range(cfg.layers)):
-        dx = _block_backward(params, cfg, layer, block_caches[layer], dx, grads)
-    _embed_backward(params, cfg, emb_cache, dx, grads)
+        dx, block_grads = _block_backward(params, cfg, layer, block_caches[layer], dx)
+        grads.update(block_grads)
+    grads.update(_embed_backward(cfg, emb_cache, dx, d_emb))
+    return grads
 
 
 def score_logits(params, x_last):
@@ -510,6 +504,8 @@ def load_checkpoint(path):
             for key, entry in header["manifest"].items()
         }
         meta = header.get("meta", {})
+        if not isinstance(meta, dict):
+            raise TypeError(f"meta is {type(meta).__name__}, not an object")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from exc
     if len(raw) != total_bytes:

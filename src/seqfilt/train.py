@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Corpus, DataError, make_batches, split_loo, train_examples
 from .evaluation import evaluate
-from .model import ModelConfig, atomic_open, block_key, init_params, model_backward, model_forward, score_logits, zero_grads
+from .model import ModelConfig, atomic_open, block_key, init_params, model_backward, model_forward, score_logits
 from .nn import NumericError, adam_init, adam_step, ortho_penalty, softmax_xent_batch
 
 __all__ = [
@@ -38,10 +38,10 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError(f"alpha must be non-negative and finite, got {self.alpha}")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.epochs < 1 or self.batch_size < 1:
@@ -90,7 +90,7 @@ def loss_and_grads(params, cfg: ModelConfig, ids, targets, alpha, rng=None):
     logits = score_logits(params, x_last)
     ce, d_logits = softmax_xent_batch(logits, np.asarray(targets))
 
-    grads = zero_grads(params)
+    grads = model_backward(params, cfg, cache, d_logits @ params["emb"], d_logits.T @ x_last)
     ortho_total = 0.0
     for layer in range(cfg.layers):
         re_key = block_key(layer, "basis_re")
@@ -99,9 +99,6 @@ def loss_and_grads(params, cfg: ModelConfig, ids, targets, alpha, rng=None):
         ortho_total += penalty
         grads[re_key] += g_re
         grads[im_key] += g_im
-
-    grads["emb"] += d_logits.T @ x_last
-    model_backward(params, cfg, cache, d_logits @ params["emb"], grads)
 
     loss = ce + ortho_total
     if not np.isfinite(loss):
@@ -113,12 +110,12 @@ def loss_and_grads(params, cfg: ModelConfig, ids, targets, alpha, rng=None):
 
 
 def _first_non_finite(params, grads):
-    """Name the first parameter group whose value, or failing that whose
-    gradient, is non-finite; values come first because a bad value makes
-    the gradients of every group upstream of it non-finite too."""
+    """Name the first group, in `params` order, whose value, or failing
+    that whose gradient, is non-finite; values come first because a bad
+    value makes the gradients of every group upstream of it non-finite."""
     for what, arrays in (("value", params), ("gradient", grads)):
-        for key, value in arrays.items():
-            if not np.all(np.isfinite(value)):
+        for key in params:
+            if not np.all(np.isfinite(arrays[key])):
                 return f"first non-finite group: {key} ({what})"
     return "every parameter value and gradient is finite"
 

@@ -1,6 +1,8 @@
 """End-to-end command-line tests on a tiny synthetic corpus."""
 
 import json
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,8 +107,15 @@ class TestTrain:
             ["--epochs", "0"],
             ["--lr", "-1"],
             ["--dropout", "1.0"],
+            ["--lr", "nan"],
+            ["--lr", "inf"],
+            ["--alpha", "nan"],
+            ["--alpha", "inf"],
         ],
-        ids=["max-len-0", "m-above-max-len", "epochs-0", "negative-lr", "dropout-1.0"],
+        ids=[
+            "max-len-0", "m-above-max-len", "epochs-0", "negative-lr", "dropout-1.0",
+            "lr-nan", "lr-inf", "alpha-nan", "alpha-inf",
+        ],
     )
     def test_invalid_config_is_usage_error(self, tmp_path, corpus_file, capsys, flags):
         out = tmp_path / "bad"
@@ -120,6 +129,20 @@ class TestTrain:
             ["train", "--data", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "y")]
         )
         assert code == cli.EXIT_DATA
+
+    def test_source_is_the_package_checkout(self, tmp_path, monkeypatch):
+        package = Path(cli.__file__).parent
+        try:
+            rev = subprocess.run(
+                ["git", "-C", str(package), "rev-parse", "HEAD"], capture_output=True, text=True
+            )
+        except OSError:
+            pytest.skip("git is not installed")
+        if rev.returncode != 0:
+            pytest.skip("the package is not in a git checkout")
+        # the run starts outside any checkout, yet records the code's revision
+        monkeypatch.chdir(tmp_path)
+        assert cli._source_id() == rev.stdout.strip()
 
     def test_numeric_error_keeps_finished_epochs(self, tmp_path, corpus_file, capsys, monkeypatch):
         # the first batch of epoch 3 fails: epochs 1 and 2 stay on disk
@@ -234,10 +257,11 @@ class TestEval:
             lambda header: header["config"].update(unknown_key=1),
             lambda header: header["manifest"]["emb"].update(offset=10**6),
             lambda header: header["config"].update(ln_eps=1e-5),
+            lambda header: header.update(meta=[]),
         ],
         ids=[
             "missing-total-bytes", "unknown-config-key", "offset-past-data",
-            "retired-key-other-value",
+            "retired-key-other-value", "meta-not-object",
         ],
     )
     def test_malformed_header_is_data_error(self, tmp_path, corpus_file, run_dir, capsys, edit):
@@ -294,6 +318,25 @@ class TestEval:
         )
         assert code == cli.EXIT_DATA
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_non_utf8_data_is_data_error(tmp_path, capsys, command):
+    data = tmp_path / "latin.txt"
+    data.write_bytes(b"1 \xff\xfe 2 3 4 5\n2 1 2 3 4 5\n")
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--data", str(data), "--out", str(out), *TRAIN_FLAGS]
+    else:
+        cfg = ModelConfig(num_items=5, max_len=6, dim=8, layers=1, num_bases=3)
+        ckpt = tmp_path / "model.bin"
+        save_checkpoint(ckpt, init_params(cfg, np.random.default_rng(0)), cfg)
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "latin.txt: not UTF-8 text" in err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert not out.exists()
 
 
 class TestBrokenCheckpoint:

@@ -93,6 +93,7 @@ class TestLossAndGrads:
         ids[:, :2] = 0
         targets = rng.integers(1, 7, size=3)
         _, _, _, grads = loss_and_grads(params, cfg, ids, targets, alpha=1e-3)
+        assert grads.keys() == params.keys()
         objective = lambda: loss_and_grads(params, cfg, ids, targets, alpha=1e-3)[0]
         for key in sorted(params):
             assert rel_err(grads[key], finite_diff(objective, params[key])) <= 1e-4, key
@@ -180,6 +181,9 @@ class TestFit:
         assert _first_non_finite(params, grads) == "first non-finite group: b (value)"
         params["b"][0] = grads["a"][1] = 0.0
         assert _first_non_finite(params, grads) == "every parameter value and gradient is finite"
+        # gradients built last group first are still reported in params order
+        reversed_grads = {"b": np.array([np.nan, 0.0]), "a": np.array([np.inf, 0.0])}
+        assert _first_non_finite(params, reversed_grads) == "first non-finite group: a (gradient)"
 
     @glibc_only
     def test_steady_state_epochs_take_no_page_faults(self):
