@@ -39,7 +39,7 @@ from .model import (
     predict_scores_batch,
     save_checkpoint,
 )
-from .nn import NumericError
+from .nn import NumericError, pool_size
 from .train import TrainConfig, fit
 
 EXIT_OK = 0
@@ -186,6 +186,7 @@ def cmd_train(args) -> int:
         "data_sha256": data_sha,
         "source": _source_id(),
         "version": __version__,
+        "workers": pool_size(),
         "started": _now(),
     }
     _write_manifest(out / "manifest.json", manifest)
@@ -228,7 +229,13 @@ def cmd_eval(args) -> int:
             "checkpoint was trained on different data (sha256 mismatch); "
             "pass the original file"
         )
-    corpus = load_corpus(data_path, min_interactions=meta.get("min_interactions", 5))
+    min_interactions = meta.get("min_interactions", 5)
+    if type(min_interactions) is not int:
+        raise CheckpointError(
+            f"{args.checkpoint}: meta min_interactions must be an integer, "
+            f"got {min_interactions!r}"
+        )
+    corpus = load_corpus(data_path, min_interactions=min_interactions)
     if corpus.num_items != cfg.num_items:
         raise CheckpointError(
             f"checkpoint expects {cfg.num_items} items, corpus has {corpus.num_items}"

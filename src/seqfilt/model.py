@@ -15,7 +15,9 @@ this operator; only live (unfrozen, eval-mode) prediction runs the
 paper's frequency-domain transforms from `spectral`, which stay the
 reference it is checked and timed against.  The signal is real, so only
 Re(H) reaches the output: `basis_im` acts only through the basis row
-norms and the orthogonality penalty.
+norms and the orthogonality penalty.  The filter's per-example products
+and the position-wise kernels run on the row pool of `seqfilt.nn`, with
+the same bits on one thread as on two.
 
 Parameters live in a flat dict of float64 arrays so the optimizer and the
 gradient checks can treat every group uniformly.  Forward passes return
@@ -36,13 +38,17 @@ from scipy import sparse
 
 from . import spectral
 from .nn import (
+    _SPLIT_MIN,
     ShapeMismatch,
+    affine,
+    affine_backward,
     dropout,
     dropout_backward,
     gelu,
     gelu_backward,
     layer_norm,
     layer_norm_backward,
+    map_rows,
 )
 
 __all__ = [
@@ -230,10 +236,38 @@ def _operator_backward(cfg: ModelConfig, op, x, dy):
     rows, shifts, cols = _band(cfg)
     keep = rows >= first
     rows, shifts, cols = rows[keep], shifts[keep], cols[keep]
-    outer = (dy @ x.transpose(0, 2, 1)).sum(axis=0)
+    outer = _example_products(dy, x).sum(axis=0)
     d_taps = np.zeros((cfg.max_len, cfg.order + 1))
     d_taps[rows, shifts] = outer[rows - first, cols]
-    return op.T @ dy, d_taps
+    return _apply_operator(op.T, dy), d_taps
+
+
+def _apply_operator(op, x):
+    """op @ x for each example of a (B, N, D) block, over the row pool.
+    The split follows the output, which in the last block's backward
+    (op = Gᵀ of its one row) is N times the size of the input."""
+    if len(x) * len(op) * x.shape[2] < _SPLIT_MIN:
+        return _apply_operator_rows(None, x, op)
+    out = np.empty((len(x), len(op), x.shape[2]))
+    map_rows(_apply_operator_rows, (out, x, op), 2)
+    return out
+
+
+def _apply_operator_rows(out, x, op):
+    return np.matmul(op, x, out)
+
+
+def _example_products(dy, x):
+    """dy xᵀ for each example, over the row pool."""
+    if x.size < _SPLIT_MIN:
+        return _example_products_rows(None, dy, x)
+    out = np.empty((len(x), dy.shape[1], x.shape[1]))
+    map_rows(_example_products_rows, (out, dy, x), 3)
+    return out
+
+
+def _example_products_rows(out, dy, x):
+    return np.matmul(dy, x.transpose(0, 2, 1), out)
 
 
 def _live_filter(cfg: ModelConfig, taps, x):
@@ -332,17 +366,14 @@ def _block_forward(params, cfg, layer, x, rng, training, frozen_op=None):
         filtered = _live_filter(cfg, taps, x)[:, -rows:]
     else:
         op = op[-rows:]
-        filtered = op @ x
+        filtered = _apply_operator(op, x)
     # dropout returns a fresh array or `filtered` itself, which nothing
     # else reads, so the residual is added in place
     res1, mask1 = dropout(filtered, cfg.dropout, rng, training)
     res1 += x[:, -rows:]
     f2d, ln1_cache = layer_norm(res1.reshape(-1, cfg.dim), key("ln1_g"), key("ln1_b"))
-    h1 = f2d @ key("w1")
-    h1 += key("b1")
-    act, act_cache = gelu(h1)
-    h2 = act @ key("w2")
-    h2 += key("b2")
+    act, act_cache = gelu(affine(f2d, key("w1"), key("b1")))
+    h2 = affine(act, key("w2"), key("b2"))
     # dropout returns h2 itself or a fresh array: both are this block's own
     res2, mask2 = dropout(h2, cfg.dropout, rng, training)
     res2 += f2d
@@ -359,12 +390,10 @@ def _block_backward(params, cfg, layer, cache, dy):
 
     d_res2, g["ln2_g"], g["ln2_b"] = layer_norm_backward(ln2_cache, dy.reshape(-1, cfg.dim))
     d_h2 = dropout_backward(mask2, d_res2)
-    g["w2"] = act.T @ d_h2
-    g["b2"] = d_h2.sum(axis=0)
-    d_h1 = gelu_backward(act_cache, d_h2 @ key("w2").T)
-    g["w1"] = f2d.T @ d_h1
-    g["b1"] = d_h1.sum(axis=0)
-    d_f = d_h1 @ key("w1").T
+    d_act, g["w2"], g["b2"] = affine_backward(act, key("w2"), d_h2)
+    d_h1 = gelu_backward(act_cache, d_act)
+    del d_act  # freed here, not at the return: a step's peak memory comes later
+    d_f, g["w1"], g["b1"] = affine_backward(f2d, key("w1"), d_h1)
     d_f += d_res2
 
     d_res1, g["ln1_g"], g["ln1_b"] = layer_norm_backward(ln1_cache, d_f)

@@ -5,12 +5,28 @@ Each kernel returns its output together with a cache, and has a matching
 is deliberately small: just the pieces the encoder needs, all in 64-bit
 floats so finite-difference checks are meaningful.
 
-The row kernels (layer norm, GELU, dropout) run over B·N·D elements per
-call, so they are written to make few passes and few fresh temporaries:
-row means are BLAS products with a 1/D vector, results are built in
-place in the buffers they own, and a dropout mask is the pair
-(keep, scale) of a boolean array and the one scale 1/(1-p) instead of a
-float array.  Dropout draws one float64 uniform per element.
+The row kernels (layer norm, GELU, dropout, the affine map) run over
+B·N·D elements per call, so they are written to make few passes and few
+fresh temporaries: row means are BLAS products with a 1/D vector,
+results are built in place in the buffers they own, and a dropout mask
+is the pair (keep, scale) of a boolean array and the one scale 1/(1-p)
+instead of a float array.  Dropout draws one float64 uniform per element.
+
+Threads.  Each row kernel treats every row apart, so `map_rows` runs it
+on a pool of min(2, usable CPUs) threads: the caller and one worker
+claim chunks of whole multiples of 64 rows from a shared counter.  It
+serves layer norm, GELU, dropout's mask and apply and the three
+backwards, the FFN products with their biases (`affine`), and in
+`model` the filter's G x, its per-example products dy xᵀ and Gᵀ dy.
+Column reductions stay one call over all rows: dgamma and dbeta, the
+weight and bias gradients, the filter's sum of products over the batch
+and the head's d_logits.T @ x_last; `run_pair` only runs two such whole
+calls at once.  Dropout's uniforms are drawn in one call in the caller's
+thread, so the random stream does not move.  At a multiple of 64 rows
+every BLAS row product rounds as in one call over all rows, so every
+output is bit-identical whatever the pool size.  Arrays below 2^17
+elements, which covers prediction at small batches, run whole in the
+caller's thread.  BLAS keeps its own thread setting.
 
 Each training step allocates and frees hundreds of MB of such
 temporaries, and each prediction tens of MB.  Importing this module,
@@ -26,7 +42,11 @@ constants, not parameters.
 from __future__ import annotations
 
 import ctypes
+import itertools
+import os
 import platform
+import queue
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,10 +56,15 @@ __all__ = [
     "NumericError",
     "ShapeMismatch",
     "InvalidTarget",
+    "pool_size",
+    "map_rows",
+    "run_pair",
     "layer_norm",
     "layer_norm_backward",
     "gelu",
     "gelu_backward",
+    "affine",
+    "affine_backward",
     "dropout",
     "dropout_backward",
     "softmax_xent",
@@ -60,6 +85,17 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD = 32 * 1024 * 1024  # glibc's largest on 64-bit builds
 _TRIM_THRESHOLD = 1024 * 1024 * 1024
+
+# the row pool: the caller plus at most one worker thread
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+# arrays below this many elements run whole: on a 2-vCPU VM a handoff
+# to the worker costs ~50 us, and two chunks of 2^16 won from here
+_SPLIT_MIN = 1 << 17
+_ALIGN = 64  # rows; every chunk starts at a multiple of this
+_CHUNK = 1 << 16  # elements a chunk aims at, rounded down to aligned rows
+_worker = None  # (pid, task queue of the worker thread), made on first use
+_worker_lock = threading.Lock()  # guards the check-then-start of _worker
+_ROW_MEANS = {}  # width -> _row_mean(width)
 
 
 class NumericError(RuntimeError):
@@ -103,22 +139,165 @@ def _keep_freed_memory() -> None:
 _keep_freed_memory()
 
 
+def pool_size() -> int:
+    """Threads the row kernels run on: the caller plus the worker, if any."""
+    return _WORKERS
+
+
+def _worker_tasks():
+    """The worker thread's task queue; the thread starts on first use, and
+    again in a forked child, which inherits no threads."""
+    global _worker
+    pid = os.getpid()
+    with _worker_lock:
+        if _worker is None or _worker[0] != pid:
+            tasks = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(tasks,), name="seqfilt-rows", daemon=True).start()
+            _worker = (pid, tasks)
+        return _worker[1]
+
+
+def _reset_worker_lock():
+    """A forked child inherits the lock in whatever state a parent thread
+    left it, and none of the threads that could release it."""
+    global _worker_lock
+    _worker_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_worker_lock)
+
+
+def _serve(tasks):
+    while True:
+        tasks.get()()
+
+
+def _share(job, count):
+    """Run job(0), ..., job(count - 1) on the caller and the worker.
+
+    Each thread claims the next index from one counter, so a thread that
+    the host stalls holds up no fixed share of the work.  A worker that
+    has not started by the time the caller ran out of indices does
+    nothing; otherwise the caller waits for it.  The first exception
+    either thread raised is raised in the caller, after that wait."""
+    claim = itertools.count()
+    errors = []
+    started = threading.Lock()
+    done = threading.Lock()
+    done.acquire()
+
+    def drain():
+        try:
+            while not errors:
+                i = next(claim)
+                if i >= count:
+                    break
+                job(i)
+        except BaseException as exc:
+            errors.append(exc)
+
+    def remote():
+        if started.acquire(blocking=False):
+            drain()
+            done.release()
+
+    _worker_tasks().put(remote)
+    drain()
+    if not started.acquire(blocking=False):
+        done.acquire()
+    # a task the worker has yet to dequeue must not keep the job's arrays
+    # alive: drop them from the closure it shares
+    job = None
+    if errors:
+        raise errors[0]
+
+
+def map_rows(kernel, args, rows):
+    """kernel(*args), for a kernel that treats each index of the leading
+    axis of its first `rows` arguments apart and writes its results into
+    some of them.
+
+    When args[0] holds fewer than _SPLIT_MIN elements the kernel runs
+    once on the whole arrays.  Otherwise the pool's threads share chunks
+    of whole multiples of _ALIGN rows, each passing the kernel its chunk
+    of the first `rows` arguments and the others as they are.  The cuts
+    fall on multiples of 64 rows because there the GEMV behind a row
+    mean, like any row block of a GEMM, rounds as in one call over all
+    rows, so the results do not depend on the pool size.
+
+    The row kernels below take their outputs first.  Below _SPLIT_MIN
+    they are called directly, without this call, with None for each
+    output, which they then allocate: on the 2-vCPU VM they were measured
+    on, a Python call costs ~1 us, a few percent of a batch-1 prediction.
+    Above it the caller allocates the outputs, so that the worker thread
+    allocates nothing large."""
+    first = args[0]
+    if first.size < _SPLIT_MIN or _WORKERS < 2 or len(first) <= _ALIGN:
+        kernel(*args)
+        return
+    shared = args[rows:]
+    step = max(_ALIGN, _CHUNK * len(first) // first.size // _ALIGN * _ALIGN)
+
+    def job(i):
+        part = slice(i * step, (i + 1) * step)
+        kernel(*[a[part] for a in args[:rows]], *shared)
+
+    _share(job, -(-len(first) // step))
+
+
+def run_pair(first, second, size):
+    """(first(), second()): two independent whole calls, run at once on
+    the pool's two threads when `size`, the elements they read, is at
+    least _SPLIT_MIN."""
+    if size < _SPLIT_MIN or _WORKERS < 2:
+        return first(), second()
+    out = [None, None]
+
+    def job(i):
+        out[i] = (first, second)[i]()
+
+    _share(job, 2)
+    return out[0], out[1]
+
+
+def _row_mean(width):
+    """The read-only vector of `width` entries 1/width whose product with
+    a row is the row's mean; made once per width, since at batch 1
+    filling it anew cost as much as the row pool's dispatch."""
+    vec = _ROW_MEANS.get(width)
+    if vec is None:
+        vec = np.full(width, 1.0 / width)
+        vec.flags.writeable = False
+        _ROW_MEANS[width] = vec
+    return vec
+
+
 def layer_norm(x, gamma, beta):
     """Standardize each row of `x`, then scale by gamma and shift by beta.
 
     Returns (y, (x_hat, inv_std, gamma)); `x_hat` is the centred buffer
-    scaled in place, and `y` reuses the buffer of the squared deviations."""
+    scaled in place, and `y` first holds the squared deviations."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] == 0:
         raise ShapeMismatch(f"layer_norm needs a 2-d input with columns, got {x.shape}")
-    row_mean = np.full(x.shape[1], 1.0 / x.shape[1])
-    x_hat = x - (x @ row_mean)[:, None]
-    y = np.square(x_hat)
-    inv_std = 1.0 / np.sqrt(y @ row_mean + _LN_EPS)[:, None]
-    x_hat *= inv_std
-    np.multiply(x_hat, gamma, out=y)
-    y += beta
+    row_mean = _row_mean(x.shape[1])
+    if x.size < _SPLIT_MIN:
+        y, x_hat, inv_std = _layer_norm_rows(None, None, None, x, row_mean, gamma, beta)
+    else:
+        y, x_hat, inv_std = np.empty(x.shape), np.empty(x.shape), np.empty((len(x), 1))
+        map_rows(_layer_norm_rows, (y, x_hat, inv_std, x, row_mean, gamma, beta), 4)
     return y, (x_hat, inv_std, gamma)
+
+
+def _layer_norm_rows(y, x_hat, inv_std, x, row_mean, gamma, beta):
+    x_hat = np.subtract(x, (x @ row_mean)[:, None], x_hat)
+    y = np.square(x_hat, y)
+    inv_std = np.divide(1.0, np.sqrt(y @ row_mean + _LN_EPS)[:, None], inv_std)
+    x_hat *= inv_std
+    np.multiply(x_hat, gamma, y)
+    y += beta
+    return y, x_hat, inv_std
 
 
 def layer_norm_backward(cache, dy):
@@ -127,34 +306,59 @@ def layer_norm_backward(cache, dy):
     x_hat, inv_std, gamma = cache
     ones = np.ones(len(dy))
     gamma_mean = gamma / x_hat.shape[1]
-    scratch = dy * x_hat
-    dgamma = ones @ scratch
-    dbeta = ones @ dy
-    # scratch is reused for x_hat * mean(dy*gamma*x_hat) + mean(dy*gamma)
-    np.multiply(x_hat, (scratch @ gamma_mean)[:, None], out=scratch)
-    scratch += (dy @ gamma_mean)[:, None]
-    dx = dy * gamma
-    dx -= scratch
-    dx *= inv_std
+    if dy.size < _SPLIT_MIN:
+        scratch, dx = _layer_norm_backward_rows(None, None, dy, x_hat, inv_std, gamma, gamma_mean)
+        return dx, ones @ scratch, ones @ dy
+    scratch, dx = np.empty(dy.shape), np.empty(dy.shape)
+    map_rows(_layer_norm_backward_rows, (scratch, dx, dy, x_hat, inv_std, gamma, gamma_mean), 5)
+    dgamma, dbeta = run_pair(lambda: ones @ scratch, lambda: ones @ dy, dy.size)
     return dx, dgamma, dbeta
+
+
+def _layer_norm_backward_rows(scratch, dx, dy, x_hat, inv_std, gamma, gamma_mean):
+    """scratch = dy * x_hat, whose column sums are dgamma, and dx."""
+    scratch = np.multiply(dy, x_hat, scratch)
+    shift = np.multiply(x_hat, (scratch @ gamma_mean)[:, None])
+    shift += (dy @ gamma_mean)[:, None]
+    dx = np.multiply(dy, gamma, dx)
+    dx -= shift
+    dx *= inv_std
+    return scratch, dx
 
 
 def gelu(x):
     """Exact GELU x * Phi(x) with Phi the standard normal CDF."""
     x = np.asarray(x, dtype=float)
-    cdf = np.multiply(x, _INV_SQRT2)
-    erf(cdf, out=cdf)
+    if x.size < _SPLIT_MIN:
+        y, cdf = _gelu_rows(None, None, x)
+    else:
+        y, cdf = np.empty(x.shape), np.empty(x.shape)
+        map_rows(_gelu_rows, (y, cdf, x), 3)
+    return y, (x, cdf)
+
+
+def _gelu_rows(y, cdf, x):
+    cdf = np.multiply(x, _INV_SQRT2, cdf)
+    erf(cdf, cdf)
     cdf += 1.0
     cdf *= 0.5
-    return x * cdf, (x, cdf)
+    return np.multiply(x, cdf, y), cdf
 
 
 def gelu_backward(cache, dy):
     """dy * (Phi(x) + x * phi(x)), built in one buffer."""
     x, cdf = cache
-    grad = np.multiply(x, -0.5)
+    if x.size < _SPLIT_MIN:
+        return _gelu_backward_rows(None, x, cdf, dy)
+    grad = np.empty(x.shape)
+    map_rows(_gelu_backward_rows, (grad, x, cdf, dy), 4)
+    return grad
+
+
+def _gelu_backward_rows(grad, x, cdf, dy):
+    grad = np.multiply(x, -0.5, grad)
     grad *= x
-    np.exp(grad, out=grad)
+    np.exp(grad, grad)
     grad *= _INV_SQRT_2PI
     grad *= x
     grad += cdf
@@ -162,29 +366,73 @@ def gelu_backward(cache, dy):
     return grad
 
 
+def affine(x, w, b):
+    """x @ w + b over the rows of a 2-d `x`."""
+    if x.size < _SPLIT_MIN:
+        return _affine_rows(None, x, w, b)
+    out = np.empty((len(x), w.shape[1]))
+    map_rows(_affine_rows, (out, x, w, b), 2)
+    return out
+
+
+def _affine_rows(out, x, w, b):
+    out = np.matmul(x, w, out)
+    out += b
+    return out
+
+
+def affine_backward(x, w, dy):
+    """Gradients (dx, dw, db) of y = x @ w + b.  On the pool the row
+    product dx runs beside the column reduction dw."""
+    if dy.size < _SPLIT_MIN:
+        dw = x.T @ dy
+        return dy @ w.T, dw, dy.sum(axis=0)
+    dx = np.empty((len(dy), w.shape[0]))
+    dw, _ = run_pair(lambda: x.T @ dy, lambda: np.matmul(dy, w.T, dx), dy.size)
+    return dx, dw, dy.sum(axis=0)
+
+
 def dropout(x, rate, rng=None, training=True):
     """Inverted dropout; identity when not training.  Returns (y, mask).
 
     The mask is (keep, scale): a boolean array of the kept entries and
     the scale 1/(1-rate) they are multiplied by, or None when nothing is
-    dropped.  Each call draws x.size float64 uniforms from `rng`."""
+    dropped.  Each call draws x.size float64 uniforms from `rng`, in one
+    call in the caller's thread, and builds the output in their buffer."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x, None
     y = rng.random(x.shape)
-    keep = y >= rate
     scale = 1.0 / (1.0 - rate)
-    np.multiply(x, scale, out=y)
-    y *= keep
+    if x.size < _SPLIT_MIN:
+        keep = _dropout_rows(None, x, y, rate, scale)
+    else:
+        keep = np.empty(x.shape, dtype=bool)
+        map_rows(_dropout_rows, (keep, x, y, rate, scale), 3)
     return y, (keep, scale)
+
+
+def _dropout_rows(keep, x, y, rate, scale):
+    keep = np.greater_equal(y, rate, keep)
+    np.multiply(x, scale, y)
+    y *= keep
+    return keep
 
 
 def dropout_backward(mask, dy):
     if mask is None:
         return dy
     keep, scale = mask
-    dx = dy * scale
+    if dy.size < _SPLIT_MIN:
+        return _dropout_backward_rows(None, dy, keep, scale)
+    dx = np.empty(dy.shape)
+    map_rows(_dropout_backward_rows, (dx, dy, keep, scale), 3)
+    return dx
+
+
+def _dropout_backward_rows(dx, dy, keep, scale):
+    dx = np.multiply(dy, scale, dx)
     dx *= keep
     return dx
 

@@ -17,7 +17,7 @@ import numpy as np
 from .data import Corpus, DataError, make_batches, split_loo, train_examples
 from .evaluation import evaluate
 from .model import ModelConfig, atomic_open, block_key, init_params, model_backward, model_forward, score_logits
-from .nn import NumericError, adam_init, adam_step, ortho_penalty, softmax_xent_batch
+from .nn import NumericError, adam_init, adam_step, ortho_penalty, run_pair, softmax_xent_batch
 
 __all__ = [
     "TrainConfig",
@@ -90,7 +90,13 @@ def loss_and_grads(params, cfg: ModelConfig, ids, targets, alpha, rng=None):
     logits = score_logits(params, x_last)
     ce, d_logits = softmax_xent_batch(logits, np.asarray(targets))
 
-    grads = model_backward(params, cfg, cache, d_logits @ params["emb"], d_logits.T @ x_last)
+    # the table-sized head gradient is allocated in this thread, like
+    # every large array the row pool fills
+    d_emb = np.empty(params["emb"].shape)
+    dx, _ = run_pair(
+        lambda: d_logits @ params["emb"], lambda: np.matmul(d_logits.T, x_last, d_emb), d_logits.size
+    )
+    grads = model_backward(params, cfg, cache, dx, d_emb)
     ortho_total = 0.0
     for layer in range(cfg.layers):
         re_key = block_key(layer, "basis_re")

@@ -79,6 +79,7 @@ class TestTrain:
         assert "started" in manifest and "finished" in manifest
         assert manifest["model_config"]["dim"] == 8
         assert manifest["parameters"] > 0
+        assert manifest["workers"] == nn.pool_size()
 
     def test_refuses_overwrite_without_force(self, run_dir, corpus_file):
         code = cli.main(
@@ -270,6 +271,26 @@ class TestEval:
         rewrite_header(ckpt, edit)
         with pytest.raises(CheckpointError):
             load_checkpoint(ckpt)
+        out = tmp_path / "out"
+        code = cli.main(
+            [
+                "eval", "--checkpoint", str(ckpt),
+                "--data", str(corpus_file), "--out", str(out),
+            ]
+        )
+        assert code == cli.EXIT_DATA
+        assert_one_line_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "value", ["x", None, True, 2.5], ids=["string", "null", "bool", "float"]
+    )
+    def test_non_integer_min_interactions_is_data_error(
+        self, tmp_path, corpus_file, run_dir, capsys, value
+    ):
+        ckpt = tmp_path / "checkpoint.bin"
+        ckpt.write_bytes((run_dir / "checkpoint.bin").read_bytes())
+        rewrite_header(ckpt, lambda header: header["meta"].update(min_interactions=value))
         out = tmp_path / "out"
         code = cli.main(
             [

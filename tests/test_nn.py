@@ -1,5 +1,14 @@
 """Kernel-level tests: forward values against closed forms, backward
-rules against central finite differences."""
+rules against central finite differences, and the row pool's results,
+errors and threads."""
+
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -66,6 +75,21 @@ class TestGelu:
         _, cache = nn.gelu(x)
         dx = nn.gelu_backward(cache, w)
         assert rel_err(dx, finite_diff(loss, x)) <= 1e-5
+
+
+class TestAffine:
+    def test_value(self, rng):
+        x, w, b = rng.normal(size=(5, 3)), rng.normal(size=(3, 4)), rng.normal(size=4)
+        assert np.array_equal(nn.affine(x, w, b), x @ w + b)
+
+    def test_gradients(self, rng):
+        x, w, b = rng.normal(size=(5, 3)), rng.normal(size=(3, 4)), rng.normal(size=4)
+        proj = rng.normal(size=(5, 4))
+        loss = lambda: float((nn.affine(x, w, b) * proj).sum())
+        dx, dw, db = nn.affine_backward(x, w, proj)
+        assert rel_err(dx, finite_diff(loss, x)) <= 1e-6
+        assert rel_err(dw, finite_diff(loss, w)) <= 1e-6
+        assert rel_err(db, finite_diff(loss, b)) <= 1e-6
 
 
 class TestDropout:
@@ -211,3 +235,191 @@ class TestAdam:
         for expected in (1, 2, 3):
             nn.adam_step(params, {"w": np.ones(2)}, state)
             assert state.step == expected
+
+
+ROWS = 12_837  # above the split size at width 64, and a multiple of neither 64 nor a chunk
+
+
+def _kernel_outputs(x, dy, gamma, beta, w, b):
+    """Every array the row kernels return, forward and backward."""
+    y, (x_hat, inv_std, _) = nn.layer_norm(x, gamma, beta)
+    ln_back = nn.layer_norm_backward((x_hat, inv_std, gamma), dy)
+    act, (_, cdf) = nn.gelu(x)
+    dropped, (keep, _) = nn.dropout(x, 0.2, np.random.default_rng(9))
+    return [
+        y, x_hat, inv_std, *ln_back,
+        act, cdf, nn.gelu_backward((x, cdf), dy),
+        dropped, keep, nn.dropout_backward((keep, 1.25), dy),
+        nn.affine(x, w, b), *nn.affine_backward(x, w, dy),
+    ]
+
+
+def _child_layer_norm(x, gamma, beta, results):
+    y, _ = nn.layer_norm(x, gamma, beta)
+    results.put((os.getpid(), nn._worker[0], y.tobytes()))
+
+
+class TestRowPool:
+    @pytest.fixture
+    def two_threads(self, monkeypatch):
+        monkeypatch.setattr(nn, "_WORKERS", 2)
+
+    def test_kernels_match_on_one_and_two_threads(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        args = (
+            rng.normal(size=(ROWS, 64)), rng.normal(size=(ROWS, 64)),
+            rng.normal(size=64), rng.normal(size=64),
+            rng.normal(size=(64, 64)), rng.normal(size=64),
+        )
+        assert args[0].size >= nn._SPLIT_MIN
+        shares = []
+        share = nn._share
+        monkeypatch.setattr(nn, "_share", lambda job, count: shares.append(count) or share(job, count))
+        results = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(nn, "_WORKERS", workers)
+            shares.clear()
+            results[workers] = _kernel_outputs(*args)
+            assert bool(shares) == (workers == 2)
+        for one, two in zip(results[1], results[2]):
+            assert one.dtype == two.dtype and np.array_equal(one, two)
+
+    def test_chunks_start_on_aligned_rows_and_cover_each_row_once(self, two_threads):
+        x = np.zeros((ROWS, 64))
+        base = x.__array_interface__["data"][0]
+        seen = []
+
+        def kernel(chunk):
+            seen.append(((chunk.__array_interface__["data"][0] - base) // x.strides[0], len(chunk)))
+
+        nn.map_rows(kernel, (x,), 1)
+        assert len(seen) > 2
+        assert all(start % nn._ALIGN == 0 for start, _ in seen)
+        covered = sorted(seen)
+        assert covered[0][0] == 0
+        assert all(a + n == b for (a, n), (b, _) in zip(covered, covered[1:]))
+        assert covered[-1][0] + covered[-1][1] == ROWS
+
+    def test_small_arrays_run_whole_in_the_caller(self, two_threads):
+        calls = []
+        x = np.zeros((nn._SPLIT_MIN // 64 - 1, 64))
+        nn.map_rows(lambda a: calls.append((threading.get_ident(), len(a))), (x,), 1)
+        assert calls == [(threading.get_ident(), len(x))]
+
+    def _race(self, work_in_caller):
+        """map_rows over a kernel whose chunks in the worker thread wait
+        0.2 s and then finish; the caller's chunks wait for the worker to
+        have started one, then run `work_in_caller`.  Returns the chunks
+        the worker finished, as filled in by the time map_rows is done."""
+        caller = threading.get_ident()
+        started = threading.Event()
+        finished = []
+
+        def kernel(chunk):
+            if threading.get_ident() == caller:
+                assert started.wait(10), "the worker thread never ran a chunk"
+                work_in_caller()
+                return
+            started.set()
+            time.sleep(0.2)
+            finished.append(len(chunk))
+
+        return kernel, finished
+
+    def test_caller_waits_for_the_worker_before_returning(self, two_threads):
+        kernel, finished = self._race(lambda: None)
+        nn.map_rows(kernel, (np.zeros((ROWS, 64)),), 1)
+        assert finished
+
+    def test_caller_waits_for_the_worker_before_raising(self, two_threads):
+        def fail():
+            raise KeyError("caller chunk")
+
+        kernel, finished = self._race(fail)
+        with pytest.raises(KeyError, match="caller chunk"):
+            nn.map_rows(kernel, (np.zeros((ROWS, 64)),), 1)
+        assert finished
+
+    def test_worker_error_reaches_the_caller(self, two_threads):
+        caller = threading.get_ident()
+
+        def kernel(chunk):
+            if threading.get_ident() != caller:
+                raise ValueError("worker chunk")
+            time.sleep(0.05)  # leave the worker time to claim a chunk
+
+        for _ in range(20):  # a run where the worker claimed no chunk raises nothing
+            try:
+                nn.map_rows(kernel, (np.zeros((ROWS, 64)),), 1)
+            except ValueError as exc:
+                assert str(exc) == "worker chunk"
+                return
+        pytest.fail("the worker thread never ran a chunk")
+
+    def test_concurrent_callers_share_the_worker(self, two_threads):
+        # more callers than cores, switching threads every microsecond: a
+        # chunk claimed twice or lost, or a result written into another
+        # caller's array, changes some caller's output
+        inputs = [np.random.default_rng(seed).normal(size=(ROWS, 64)) for seed in range(4)]
+        want = [nn.gelu(x)[0] for x in inputs]
+        got = [None] * len(inputs)
+
+        def call(i):
+            for _ in range(5):
+                got[i] = nn.gelu(inputs[i])[0]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(i,)) for i in range(len(inputs))]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for a, b in zip(want, got):
+            assert np.array_equal(a, b)
+
+    def test_pool_starts_on_first_split(self):
+        script = (
+            "import json, threading, numpy as np\n"
+            "from seqfilt import nn\n"
+            "nn._WORKERS = 2\n"
+            "alive = lambda: any(t.name == 'seqfilt-rows' for t in threading.enumerate())\n"
+            "seen = [alive()]\n"
+            "nn.layer_norm(np.ones((64, 64)), np.ones(64), np.zeros(64))\n"
+            "seen.append(alive())\n"
+            "nn.layer_norm(np.ones((4096, 64)), np.ones(64), np.zeros(64))\n"
+            "seen.append(alive())\n"
+            "print(json.dumps(seen))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nn.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [False, False, True]
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+    )
+    def test_forked_child_starts_its_own_worker(self, two_threads, rng):
+        x, gamma, beta = rng.normal(size=(4096, 64)), rng.normal(size=64), rng.normal(size=64)
+        want, _ = nn.layer_norm(x, gamma, beta)  # the worker of this process runs
+        assert nn._worker[0] == os.getpid()
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+        child = ctx.Process(target=_child_layer_norm, args=(x, gamma, beta, results))
+        child.start()
+        try:
+            pid, pool_pid, got = results.get(timeout=60)
+            child.join(timeout=60)
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
+        assert pid == pool_pid == child.pid
+        assert got == want.tobytes()

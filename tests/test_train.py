@@ -13,7 +13,8 @@ import pytest
 from conftest import finite_diff, rel_err
 from seqfilt.data import Corpus, split_loo
 from seqfilt.evaluation import evaluate
-from seqfilt.model import ModelConfig, init_params
+from seqfilt import nn
+from seqfilt.model import ModelConfig, init_params, save_checkpoint
 from seqfilt.nn import NumericError
 from seqfilt import train as tr
 from seqfilt.train import TrainConfig, TrainLog, _first_non_finite, fit, loss_and_grads, make_synthetic
@@ -147,6 +148,36 @@ class TestFit:
         assert log_a.to_csv() == log_b.to_csv()
         for key in params_a:
             assert np.array_equal(params_a[key], params_b[key])
+
+    def test_row_pool_size_changes_no_byte(self, monkeypatch, tmp_path):
+        # at N=50 and D=64 every batch of this corpus (256, 256 and 220
+        # rows) puts the first block's row kernels above the split size
+        corpus = make_synthetic(12, 40, 64, np.random.default_rng(8))
+        cfg = ModelConfig(num_items=40, max_len=50, dim=64, dropout=0.2)
+        tcfg = TrainConfig(lr=3e-3, epochs=2, batch_size=256, patience=2, seed=8)
+        split = split_loo(corpus)
+        shares = []
+        share = nn._share
+        monkeypatch.setattr(nn, "_share", lambda job, count: shares.append(count) or share(job, count))
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(nn, "_WORKERS", workers)
+            shares.clear()
+            params, log = fit(corpus, cfg, tcfg, timer=lambda: 0.0)
+            log.write_csv(tmp_path / "trainlog.csv")
+            save_checkpoint(tmp_path / "checkpoint.bin", params, cfg, meta={"seed": tcfg.seed})
+            reports = [
+                evaluate(split, params, cfg, mode="test", filter_seen=seen).to_csv()
+                for seen in (False, True)
+            ]
+            runs.append((
+                (tmp_path / "trainlog.csv").read_bytes(),
+                (tmp_path / "checkpoint.bin").read_bytes(),
+                reports,
+            ))
+            assert bool(shares) == (workers == 2)
+        assert len(runs[0][0].splitlines()) == 3
+        assert runs[0] == runs[1]
 
     def test_early_stop_returns_best_checkpoint(self):
         rng = np.random.default_rng(6)
