@@ -22,9 +22,9 @@ Column reductions stay one call over all rows: dgamma and dbeta, the
 weight and bias gradients, the filter's sum of products over the batch
 and the head's d_logits.T @ x_last; `run_pair` only runs two such whole
 calls at once.  Dropout's uniforms are drawn in one call in the caller's
-thread, so the random stream does not move.  At a multiple of 64 rows
-every BLAS row product rounds as in one call over all rows, so every
-output is bit-identical whatever the pool size.  Arrays below 2^17
+thread, so the random stream does not move.  A pool of one thread runs
+the same chunks in turn, so every output is bit-identical whatever the
+pool size, whatever BLAS's own thread count.  Arrays below 2^17
 elements, which covers prediction at small batches, run whole in the
 caller's thread.  BLAS keeps its own thread setting.
 
@@ -221,10 +221,12 @@ def map_rows(kernel, args, rows):
     When args[0] holds fewer than _SPLIT_MIN elements the kernel runs
     once on the whole arrays.  Otherwise the pool's threads share chunks
     of whole multiples of _ALIGN rows, each passing the kernel its chunk
-    of the first `rows` arguments and the others as they are.  The cuts
-    fall on multiples of 64 rows because there the GEMV behind a row
-    mean, like any row block of a GEMM, rounds as in one call over all
-    rows, so the results do not depend on the pool size.
+    of the first `rows` arguments and the others as they are; a pool of
+    one thread runs the same chunks in turn.  It does not make one call
+    over all rows: a threaded BLAS splits such a call's rows among its
+    own threads at cuts of its choosing, and the rows at a cut can round
+    differently than inside a chunk, so the results would depend on the
+    pool size.
 
     The row kernels below take their outputs first.  Below _SPLIT_MIN
     they are called directly, without this call, with None for each
@@ -233,7 +235,7 @@ def map_rows(kernel, args, rows):
     Above it the caller allocates the outputs, so that the worker thread
     allocates nothing large."""
     first = args[0]
-    if first.size < _SPLIT_MIN or _WORKERS < 2 or len(first) <= _ALIGN:
+    if first.size < _SPLIT_MIN or len(first) <= _ALIGN:
         kernel(*args)
         return
     shared = args[rows:]
@@ -243,7 +245,12 @@ def map_rows(kernel, args, rows):
         part = slice(i * step, (i + 1) * step)
         kernel(*[a[part] for a in args[:rows]], *shared)
 
-    _share(job, -(-len(first) // step))
+    count = -(-len(first) // step)
+    if _WORKERS < 2:
+        for i in range(count):
+            job(i)
+    else:
+        _share(job, count)
 
 
 def run_pair(first, second, size):
