@@ -15,9 +15,10 @@ this operator; only live (unfrozen, eval-mode) prediction runs the
 paper's frequency-domain transforms from `spectral`, which stay the
 reference it is checked and timed against.  The signal is real, so only
 Re(H) reaches the output: `basis_im` acts only through the basis row
-norms and the orthogonality penalty.  The filter's per-example products
-and the position-wise kernels run on the row pool of `seqfilt.nn`, with
-the same bits on one thread as on two.
+norms and the orthogonality penalty.  Every example is encoded apart,
+so `predict_scores_batch` scores a batch that `nn.batch_chunks` splits
+chunk by chunk on the pool of `seqfilt.nn`, with the same bits on one
+thread as on two; the ids are checked once, for the whole batch.
 
 Parameters live in a flat dict of float64 arrays so the optimizer and the
 gradient checks can treat every group uniformly.  Forward passes return
@@ -28,6 +29,7 @@ Each backward pass returns the gradients of its own groups.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -38,17 +40,17 @@ from scipy import sparse
 
 from . import spectral
 from .nn import (
-    _SPLIT_MIN,
     ShapeMismatch,
     affine,
     affine_backward,
+    batch_chunks,
     dropout,
     dropout_backward,
     gelu,
     gelu_backward,
     layer_norm,
     layer_norm_backward,
-    map_rows,
+    run_chunks,
 )
 
 __all__ = [
@@ -102,6 +104,13 @@ class ModelConfig:
     filter_mode: str = "causal"
 
     def __post_init__(self):
+        # a float that equals an integer would pass the checks below and
+        # even match a checkpoint's array shapes, then fail at first use
+        for name in ("num_items", "max_len", "dim", "layers", "num_bases", "filter_order"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                if name != "filter_order" or value is not None:
+                    raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.num_items < 1:
             raise ValueError("need at least one item")
         if self.max_len < 1 or self.dim < 1 or self.layers < 1:
@@ -236,38 +245,10 @@ def _operator_backward(cfg: ModelConfig, op, x, dy):
     rows, shifts, cols = _band(cfg)
     keep = rows >= first
     rows, shifts, cols = rows[keep], shifts[keep], cols[keep]
-    outer = _example_products(dy, x).sum(axis=0)
+    outer = np.matmul(dy, x.transpose(0, 2, 1)).sum(axis=0)
     d_taps = np.zeros((cfg.max_len, cfg.order + 1))
     d_taps[rows, shifts] = outer[rows - first, cols]
-    return _apply_operator(op.T, dy), d_taps
-
-
-def _apply_operator(op, x):
-    """op @ x for each example of a (B, N, D) block, over the row pool.
-    The split follows the output, which in the last block's backward
-    (op = Gᵀ of its one row) is N times the size of the input."""
-    if len(x) * len(op) * x.shape[2] < _SPLIT_MIN:
-        return _apply_operator_rows(None, x, op)
-    out = np.empty((len(x), len(op), x.shape[2]))
-    map_rows(_apply_operator_rows, (out, x, op), 2)
-    return out
-
-
-def _apply_operator_rows(out, x, op):
-    return np.matmul(op, x, out)
-
-
-def _example_products(dy, x):
-    """dy xᵀ for each example, over the row pool."""
-    if x.size < _SPLIT_MIN:
-        return _example_products_rows(None, dy, x)
-    out = np.empty((len(x), dy.shape[1], x.shape[1]))
-    map_rows(_example_products_rows, (out, dy, x), 3)
-    return out
-
-
-def _example_products_rows(out, dy, x):
-    return np.matmul(dy, x.transpose(0, 2, 1), out)
+    return np.matmul(op.T, dy), d_taps
 
 
 def _live_filter(cfg: ModelConfig, taps, x):
@@ -366,7 +347,7 @@ def _block_forward(params, cfg, layer, x, rng, training, frozen_op=None):
         filtered = _live_filter(cfg, taps, x)[:, -rows:]
     else:
         op = op[-rows:]
-        filtered = _apply_operator(op, x)
+        filtered = np.matmul(op, x)
     # dropout returns a fresh array or `filtered` itself, which nothing
     # else reads, so the residual is added in place
     res1, mask1 = dropout(filtered, cfg.dropout, rng, training)
@@ -408,7 +389,11 @@ def _block_backward(params, cfg, layer, cache, dy):
 def model_forward(params, cfg, ids, rng=None, training=False, frozen_ops=None):
     """Run embedding plus all blocks; returns the (B, D) representation of
     the final position, and the cache `model_backward` reads."""
-    ids = _check_ids(cfg, ids)
+    return _forward(params, cfg, _check_ids(cfg, ids), rng, training, frozen_ops)
+
+
+def _forward(params, cfg, ids, rng, training, frozen_ops):
+    """`model_forward` on ids already checked."""
     x, emb_cache = _embed_forward(params, cfg, ids, rng, training)
     block_caches = []
     for layer in range(cfg.layers):
@@ -431,9 +416,10 @@ def model_backward(params, cfg, cache, dx, d_emb):
     return grads
 
 
-def score_logits(params, x_last):
-    """Preference scores for every item id (column 0 is the padding slot)."""
-    return x_last @ params["emb"].T
+def score_logits(params, x_last, out=None):
+    """Preference scores for every item id (column 0 is the padding slot),
+    written into `out` when given."""
+    return np.matmul(x_last, params["emb"].T, out)
 
 
 def pad_context(context, max_len) -> np.ndarray:
@@ -446,8 +432,19 @@ def pad_context(context, max_len) -> np.ndarray:
 
 
 def predict_scores_batch(params, cfg, ids, frozen_ops=None):
-    x_last, _ = model_forward(params, cfg, ids, training=False, frozen_ops=frozen_ops)
-    return score_logits(params, x_last)
+    """Scores (B, V+1) for a batch of (B, N) ids.  A batch that
+    `batch_chunks` splits is scored chunk by chunk on the pool, into the
+    one array."""
+    ids = _check_ids(cfg, ids)
+    chunks = batch_chunks(len(ids), cfg.max_len * cfg.dim)
+    scores = np.empty((len(ids), cfg.num_items + 1))
+
+    def job(i):
+        x_last, _ = _forward(params, cfg, ids[chunks[i]], None, False, frozen_ops)
+        score_logits(params, x_last, scores[chunks[i]])
+
+    run_chunks(job, len(chunks))
+    return scores
 
 
 def predict_scores(params, cfg, context, frozen_ops=None):

@@ -12,21 +12,19 @@ results are built in place in the buffers they own, and a dropout mask
 is the pair (keep, scale) of a boolean array and the one scale 1/(1-p)
 instead of a float array.  Dropout draws one float64 uniform per element.
 
-Threads.  Each row kernel treats every row apart, so `map_rows` runs it
-on a pool of min(2, usable CPUs) threads: the caller and one worker
-claim chunks of whole multiples of 64 rows from a shared counter.  It
-serves layer norm, GELU, dropout's mask and apply and the three
-backwards, the FFN products with their biases (`affine`), and in
-`model` the filter's G x, its per-example products dy xᵀ and Gᵀ dy.
-Column reductions stay one call over all rows: dgamma and dbeta, the
-weight and bias gradients, the filter's sum of products over the batch
-and the head's d_logits.T @ x_last; `run_pair` only runs two such whole
-calls at once.  Dropout's uniforms are drawn in one call in the caller's
-thread, so the random stream does not move.  A pool of one thread runs
-the same chunks in turn, so every output is bit-identical whatever the
-pool size, whatever BLAS's own thread count.  Arrays below 2^17
-elements, which covers prediction at small batches, run whole in the
-caller's thread.  BLAS keeps its own thread setting.
+Threads.  The encoder and the head treat each example of a batch apart,
+so a batch is what gets shared out, not a kernel: `batch_chunks` cuts a
+batch whose activations hold at least 2^17 elements into chunks of 64
+examples, and `run_chunks` runs a job per chunk on a pool of
+min(2, usable CPUs) threads, the caller and one worker, which claim
+chunks from a shared counter.  `train.loss_and_grads` runs the forward
+pass, the head, the softmax and the backward pass of each chunk, and
+`model.predict_scores_batch` scores each chunk; Adam, the orthogonality
+penalty and the ranking run once per batch in the caller.  Smaller
+batches, which covers prediction at small batches and small models, run
+whole in the caller's thread with no handoff.  A chunk computes the same
+bits on either thread and results are summed in chunk order, so nothing
+depends on the pool size.  BLAS keeps its own thread setting.
 
 Each training step allocates and frees hundreds of MB of such
 temporaries, and each prediction tens of MB.  Importing this module,
@@ -57,8 +55,8 @@ __all__ = [
     "ShapeMismatch",
     "InvalidTarget",
     "pool_size",
-    "map_rows",
-    "run_pair",
+    "batch_chunks",
+    "run_chunks",
     "layer_norm",
     "layer_norm_backward",
     "gelu",
@@ -86,13 +84,14 @@ _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD = 32 * 1024 * 1024  # glibc's largest on 64-bit builds
 _TRIM_THRESHOLD = 1024 * 1024 * 1024
 
-# the row pool: the caller plus at most one worker thread
+# the pool: the caller plus at most one worker thread
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-# arrays below this many elements run whole: on a 2-vCPU VM a handoff
-# to the worker costs ~50 us, and two chunks of 2^16 won from here
+# batches whose activations hold fewer elements than this run as one
+# chunk: chunking a B=256, N=10, D=16 step (2^15.3) made it 2.7x slower
 _SPLIT_MIN = 1 << 17
-_ALIGN = 64  # rows; every chunk starts at a multiple of this
-_CHUNK = 1 << 16  # elements a chunk aims at, rounded down to aligned rows
+# examples per chunk of a larger batch; at B=256, 32 and 64 measured
+# alike, and 128 would be two fixed halves, which a stalled thread holds up
+_CHUNK_ROWS = 64
 _worker = None  # (pid, task queue of the worker thread), made on first use
 _worker_lock = threading.Lock()  # guards the check-then-start of _worker
 _ROW_MEANS = {}  # width -> _row_mean(width)
@@ -140,7 +139,7 @@ _keep_freed_memory()
 
 
 def pool_size() -> int:
-    """Threads the row kernels run on: the caller plus the worker, if any."""
+    """Threads a chunked batch runs on: the caller plus the worker, if any."""
     return _WORKERS
 
 
@@ -213,65 +212,33 @@ def _share(job, count):
         raise errors[0]
 
 
-def map_rows(kernel, args, rows):
-    """kernel(*args), for a kernel that treats each index of the leading
-    axis of its first `rows` arguments apart and writes its results into
-    some of them.
+def batch_chunks(rows, row_size):
+    """Slices of a batch of `rows` examples, each `row_size` elements per
+    activation, that `run_chunks` shares out: _CHUNK_ROWS examples each,
+    the last maybe fewer, once the batch holds _SPLIT_MIN elements, and
+    the whole batch below that."""
+    if rows * row_size < _SPLIT_MIN:
+        return [slice(0, rows)]
+    return [slice(lo, min(lo + _CHUNK_ROWS, rows)) for lo in range(0, rows, _CHUNK_ROWS)]
 
-    When args[0] holds fewer than _SPLIT_MIN elements the kernel runs
-    once on the whole arrays.  Otherwise the pool's threads share chunks
-    of whole multiples of _ALIGN rows, each passing the kernel its chunk
-    of the first `rows` arguments and the others as they are; a pool of
-    one thread runs the same chunks in turn.  It does not make one call
-    over all rows: a threaded BLAS splits such a call's rows among its
-    own threads at cuts of its choosing, and the rows at a cut can round
-    differently than inside a chunk, so the results would depend on the
-    pool size.
 
-    The row kernels below take their outputs first.  Below _SPLIT_MIN
-    they are called directly, without this call, with None for each
-    output, which they then allocate: on the 2-vCPU VM they were measured
-    on, a Python call costs ~1 us, a few percent of a batch-1 prediction.
-    Above it the caller allocates the outputs, so that the worker thread
-    allocates nothing large."""
-    first = args[0]
-    if first.size < _SPLIT_MIN or len(first) <= _ALIGN:
-        kernel(*args)
-        return
-    shared = args[rows:]
-    step = max(_ALIGN, _CHUNK * len(first) // first.size // _ALIGN * _ALIGN)
-
-    def job(i):
-        part = slice(i * step, (i + 1) * step)
-        kernel(*[a[part] for a in args[:rows]], *shared)
-
-    count = -(-len(first) // step)
-    if _WORKERS < 2:
+def run_chunks(job, count):
+    """job(0), ..., job(count - 1), each a chunk that writes its own
+    results: shared by the caller and the worker, or in turn in the
+    caller when there is one chunk or one thread.  Each chunk computes
+    the same bits on either thread, so results do not depend on the pool
+    size."""
+    if count < 2 or _WORKERS < 2:
         for i in range(count):
             job(i)
     else:
         _share(job, count)
 
 
-def run_pair(first, second, size):
-    """(first(), second()): two independent whole calls, run at once on
-    the pool's two threads when `size`, the elements they read, is at
-    least _SPLIT_MIN."""
-    if size < _SPLIT_MIN or _WORKERS < 2:
-        return first(), second()
-    out = [None, None]
-
-    def job(i):
-        out[i] = (first, second)[i]()
-
-    _share(job, 2)
-    return out[0], out[1]
-
-
 def _row_mean(width):
     """The read-only vector of `width` entries 1/width whose product with
     a row is the row's mean; made once per width, since at batch 1
-    filling it anew cost as much as the row pool's dispatch."""
+    filling it anew costs a few percent of a prediction."""
     vec = _ROW_MEANS.get(width)
     if vec is None:
         vec = np.full(width, 1.0 / width)
@@ -289,81 +256,45 @@ def layer_norm(x, gamma, beta):
     if x.ndim != 2 or x.shape[1] == 0:
         raise ShapeMismatch(f"layer_norm needs a 2-d input with columns, got {x.shape}")
     row_mean = _row_mean(x.shape[1])
-    if x.size < _SPLIT_MIN:
-        y, x_hat, inv_std = _layer_norm_rows(None, None, None, x, row_mean, gamma, beta)
-    else:
-        y, x_hat, inv_std = np.empty(x.shape), np.empty(x.shape), np.empty((len(x), 1))
-        map_rows(_layer_norm_rows, (y, x_hat, inv_std, x, row_mean, gamma, beta), 4)
-    return y, (x_hat, inv_std, gamma)
-
-
-def _layer_norm_rows(y, x_hat, inv_std, x, row_mean, gamma, beta):
-    x_hat = np.subtract(x, (x @ row_mean)[:, None], x_hat)
-    y = np.square(x_hat, y)
-    inv_std = np.divide(1.0, np.sqrt(y @ row_mean + _LN_EPS)[:, None], inv_std)
+    x_hat = x - (x @ row_mean)[:, None]
+    y = np.square(x_hat)
+    inv_std = 1.0 / np.sqrt(y @ row_mean + _LN_EPS)[:, None]
     x_hat *= inv_std
     np.multiply(x_hat, gamma, y)
     y += beta
-    return y, x_hat, inv_std
+    return y, (x_hat, inv_std, gamma)
 
 
 def layer_norm_backward(cache, dy):
     """dx = inv_std * (dy*gamma - mean(dy*gamma) - x_hat * mean(dy*gamma*x_hat)),
-    with the row means and column sums as BLAS products."""
+    with the row means and column sums as BLAS products; dy * x_hat is
+    kept, since its column sums are dgamma."""
     x_hat, inv_std, gamma = cache
-    ones = np.ones(len(dy))
     gamma_mean = gamma / x_hat.shape[1]
-    if dy.size < _SPLIT_MIN:
-        scratch, dx = _layer_norm_backward_rows(None, None, dy, x_hat, inv_std, gamma, gamma_mean)
-        return dx, ones @ scratch, ones @ dy
-    scratch, dx = np.empty(dy.shape), np.empty(dy.shape)
-    map_rows(_layer_norm_backward_rows, (scratch, dx, dy, x_hat, inv_std, gamma, gamma_mean), 5)
-    dgamma, dbeta = run_pair(lambda: ones @ scratch, lambda: ones @ dy, dy.size)
-    return dx, dgamma, dbeta
-
-
-def _layer_norm_backward_rows(scratch, dx, dy, x_hat, inv_std, gamma, gamma_mean):
-    """scratch = dy * x_hat, whose column sums are dgamma, and dx."""
-    scratch = np.multiply(dy, x_hat, scratch)
+    scratch = dy * x_hat
     shift = np.multiply(x_hat, (scratch @ gamma_mean)[:, None])
     shift += (dy @ gamma_mean)[:, None]
-    dx = np.multiply(dy, gamma, dx)
+    dx = dy * gamma
     dx -= shift
     dx *= inv_std
-    return scratch, dx
+    ones = np.ones(len(dy))
+    return dx, ones @ scratch, ones @ dy
 
 
 def gelu(x):
     """Exact GELU x * Phi(x) with Phi the standard normal CDF."""
     x = np.asarray(x, dtype=float)
-    if x.size < _SPLIT_MIN:
-        y, cdf = _gelu_rows(None, None, x)
-    else:
-        y, cdf = np.empty(x.shape), np.empty(x.shape)
-        map_rows(_gelu_rows, (y, cdf, x), 3)
-    return y, (x, cdf)
-
-
-def _gelu_rows(y, cdf, x):
-    cdf = np.multiply(x, _INV_SQRT2, cdf)
+    cdf = x * _INV_SQRT2
     erf(cdf, cdf)
     cdf += 1.0
     cdf *= 0.5
-    return np.multiply(x, cdf, y), cdf
+    return x * cdf, (x, cdf)
 
 
 def gelu_backward(cache, dy):
     """dy * (Phi(x) + x * phi(x)), built in one buffer."""
     x, cdf = cache
-    if x.size < _SPLIT_MIN:
-        return _gelu_backward_rows(None, x, cdf, dy)
-    grad = np.empty(x.shape)
-    map_rows(_gelu_backward_rows, (grad, x, cdf, dy), 4)
-    return grad
-
-
-def _gelu_backward_rows(grad, x, cdf, dy):
-    grad = np.multiply(x, -0.5, grad)
+    grad = x * -0.5
     grad *= x
     np.exp(grad, grad)
     grad *= _INV_SQRT_2PI
@@ -375,28 +306,15 @@ def _gelu_backward_rows(grad, x, cdf, dy):
 
 def affine(x, w, b):
     """x @ w + b over the rows of a 2-d `x`."""
-    if x.size < _SPLIT_MIN:
-        return _affine_rows(None, x, w, b)
-    out = np.empty((len(x), w.shape[1]))
-    map_rows(_affine_rows, (out, x, w, b), 2)
-    return out
-
-
-def _affine_rows(out, x, w, b):
-    out = np.matmul(x, w, out)
+    out = x @ w
     out += b
     return out
 
 
 def affine_backward(x, w, dy):
-    """Gradients (dx, dw, db) of y = x @ w + b.  On the pool the row
-    product dx runs beside the column reduction dw."""
-    if dy.size < _SPLIT_MIN:
-        dw = x.T @ dy
-        return dy @ w.T, dw, dy.sum(axis=0)
-    dx = np.empty((len(dy), w.shape[0]))
-    dw, _ = run_pair(lambda: x.T @ dy, lambda: np.matmul(dy, w.T, dx), dy.size)
-    return dx, dw, dy.sum(axis=0)
+    """Gradients (dx, dw, db) of y = x @ w + b."""
+    dw = x.T @ dy
+    return dy @ w.T, dw, dy.sum(axis=0)
 
 
 def dropout(x, rate, rng=None, training=True):
@@ -404,42 +322,25 @@ def dropout(x, rate, rng=None, training=True):
 
     The mask is (keep, scale): a boolean array of the kept entries and
     the scale 1/(1-rate) they are multiplied by, or None when nothing is
-    dropped.  Each call draws x.size float64 uniforms from `rng`, in one
-    call in the caller's thread, and builds the output in their buffer."""
+    dropped.  Each call draws x.size float64 uniforms from `rng` and
+    builds the output in their buffer."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x, None
     y = rng.random(x.shape)
     scale = 1.0 / (1.0 - rate)
-    if x.size < _SPLIT_MIN:
-        keep = _dropout_rows(None, x, y, rate, scale)
-    else:
-        keep = np.empty(x.shape, dtype=bool)
-        map_rows(_dropout_rows, (keep, x, y, rate, scale), 3)
-    return y, (keep, scale)
-
-
-def _dropout_rows(keep, x, y, rate, scale):
-    keep = np.greater_equal(y, rate, keep)
+    keep = y >= rate
     np.multiply(x, scale, y)
     y *= keep
-    return keep
+    return y, (keep, scale)
 
 
 def dropout_backward(mask, dy):
     if mask is None:
         return dy
     keep, scale = mask
-    if dy.size < _SPLIT_MIN:
-        return _dropout_backward_rows(None, dy, keep, scale)
-    dx = np.empty(dy.shape)
-    map_rows(_dropout_backward_rows, (dx, dy, keep, scale), 3)
-    return dx
-
-
-def _dropout_backward_rows(dx, dy, keep, scale):
-    dx = np.multiply(dy, scale, dx)
+    dx = dy * scale
     dx *= keep
     return dx
 

@@ -4,8 +4,11 @@ Adam updates, validation-based early stopping.
 Each example is one history prefix whose target is the next item; the
 loss reads only the encoder's final position (`model_forward` returns
 it as (B, D)), so the last block is computed for that position alone.
-A non-finite loss raises `NumericError` naming the epoch, the batch and
-the first non-finite parameter group."""
+Examples are independent up to the loss, so a large batch runs as
+chunks of examples on the pool of `seqfilt.nn`; Adam and the
+orthogonality penalty run once per batch.  A non-finite loss raises
+`NumericError` naming the epoch, the batch and the first non-finite
+parameter group."""
 
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ import numpy as np
 from .data import Corpus, DataError, make_batches, split_loo, train_examples
 from .evaluation import evaluate
 from .model import ModelConfig, atomic_open, block_key, init_params, model_backward, model_forward, score_logits
-from .nn import NumericError, adam_init, adam_step, ortho_penalty, run_pair, softmax_xent_batch
+from .nn import NumericError, adam_init, adam_step, batch_chunks, ortho_penalty, run_chunks, softmax_xent_batch
 
 __all__ = [
     "TrainConfig",
@@ -85,18 +88,36 @@ class TrainLog:
 def loss_and_grads(params, cfg: ModelConfig, ids, targets, alpha, rng=None):
     """Joint objective over one batch: mean cross-entropy over the batch
     targets plus the orthogonality penalty on every layer's basis.
-    Returns (loss, ce, ortho, grads)."""
-    x_last, cache = model_forward(params, cfg, ids, rng=rng, training=True)
-    logits = score_logits(params, x_last)
-    ce, d_logits = softmax_xent_batch(logits, np.asarray(targets))
+    Returns (loss, ce, ortho, grads).
 
-    # the table-sized head gradient is allocated in this thread, like
-    # every large array the row pool fills
-    d_emb = np.empty(params["emb"].shape)
-    dx, _ = run_pair(
-        lambda: d_logits @ params["emb"], lambda: np.matmul(d_logits.T, x_last, d_emb), d_logits.size
-    )
-    grads = model_backward(params, cfg, cache, dx, d_emb)
+    A batch that `batch_chunks` splits runs chunk by chunk on the pool:
+    each chunk runs the forward pass, the head, the softmax and the
+    backward pass, with its CE and logit gradient scaled by its share of
+    the batch and a dropout generator of its own, seeded from `rng`; the
+    gradients are summed in chunk order.  A batch of one chunk draws its
+    dropout from `rng` itself.  The penalty runs once, on the sum."""
+    ids, targets = np.asarray(ids), np.asarray(targets)
+    chunks = batch_chunks(len(ids), cfg.max_len * cfg.dim)
+    rngs = [rng] * len(chunks)
+    if rng is not None and len(chunks) > 1:
+        rngs = [np.random.default_rng(seed) for seed in rng.integers(1 << 63, size=len(chunks))]
+    parts = [None] * len(chunks)
+
+    def job(i):
+        x_last, cache = model_forward(params, cfg, ids[chunks[i]], rng=rngs[i], training=True)
+        ce, d_logits = softmax_xent_batch(score_logits(params, x_last), targets[chunks[i]])
+        share = len(x_last) / len(ids)
+        d_logits *= share
+        d_emb = d_logits.T @ x_last
+        parts[i] = ce * share, model_backward(params, cfg, cache, d_logits @ params["emb"], d_emb)
+
+    run_chunks(job, len(chunks))
+    ce, grads = parts[0]
+    for part_ce, part_grads in parts[1:]:
+        ce += part_ce
+        for key, grad in part_grads.items():
+            grads[key] += grad
+
     ortho_total = 0.0
     for layer in range(cfg.layers):
         re_key = block_key(layer, "basis_re")

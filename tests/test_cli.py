@@ -387,6 +387,30 @@ class TestBrokenCheckpoint:
         assert_one_line_error(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "export-filters"])
+    @pytest.mark.parametrize(
+        "field", ["num_items", "max_len", "dim", "layers", "num_bases", "filter_order"]
+    )
+    def test_float_config_field_is_data_error(
+        self, tmp_path, corpus_file, run_dir, capsys, command, field
+    ):
+        # a float equal to the trained integer still matches every array shape
+        def to_float(header):
+            config = header["config"]
+            config[field] = float(config["max_len"] if config[field] is None else config[field])
+
+        ckpt = tmp_path / "checkpoint.bin"
+        ckpt.write_bytes((run_dir / "checkpoint.bin").read_bytes())
+        rewrite_header(ckpt, to_float)
+        with pytest.raises(CheckpointError, match=field):
+            load_checkpoint(ckpt)
+        out = tmp_path / "out"
+        extra = ["--data", str(corpus_file)] if command == "eval" else []
+        code = cli.main([command, "--checkpoint", str(ckpt), "--out", str(out), *extra])
+        assert code == cli.EXIT_DATA
+        assert_one_line_error(capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["eval", "export-filters", "bench"])
     def test_bad_magic_leaves_no_output(self, tmp_path, corpus_file, capsys, command):
         ckpt = tmp_path / "checkpoint.bin"

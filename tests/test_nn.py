@@ -1,5 +1,5 @@
 """Kernel-level tests: forward values against closed forms, backward
-rules against central finite differences, and the row pool's results,
+rules against central finite differences, and the pool's batch chunks,
 errors and threads."""
 
 import json
@@ -15,6 +15,7 @@ import pytest
 
 from conftest import finite_diff, rel_err
 from seqfilt import nn
+from seqfilt.model import ModelConfig, init_params, predict_scores_batch
 
 
 class TestLayerNorm:
@@ -237,26 +238,18 @@ class TestAdam:
             assert state.step == expected
 
 
-ROWS = 12_837  # above the split size at width 64, and a multiple of neither 64 nor a chunk
+CHUNKS = 8  # jobs per run_chunks call in the race tests
+N, D = 8, 64  # with 300 examples, five chunks: four of 64 and one of 44
 
 
-def _kernel_outputs(x, dy, gamma, beta, w, b):
-    """Every array the row kernels return, forward and backward."""
-    y, (x_hat, inv_std, _) = nn.layer_norm(x, gamma, beta)
-    ln_back = nn.layer_norm_backward((x_hat, inv_std, gamma), dy)
-    act, (_, cdf) = nn.gelu(x)
-    dropped, (keep, _) = nn.dropout(x, 0.2, np.random.default_rng(9))
-    return [
-        y, x_hat, inv_std, *ln_back,
-        act, cdf, nn.gelu_backward((x, cdf), dy),
-        dropped, keep, nn.dropout_backward((keep, 1.25), dy),
-        nn.affine(x, w, b), *nn.affine_backward(x, w, dy),
-    ]
+def _model():
+    cfg = ModelConfig(num_items=20, max_len=N, dim=D, layers=1, num_bases=4)
+    return init_params(cfg, np.random.default_rng(4)), cfg
 
 
-def _child_layer_norm(x, gamma, beta, results):
-    y, _ = nn.layer_norm(x, gamma, beta)
-    results.put((os.getpid(), nn._worker[0], y.tobytes()))
+def _child_scores(params, cfg, ids, results):
+    scores = predict_scores_batch(params, cfg, ids)
+    results.put((os.getpid(), nn._worker[0], scores.tobytes()))
 
 
 class TestRowPool:
@@ -264,93 +257,66 @@ class TestRowPool:
     def two_threads(self, monkeypatch):
         monkeypatch.setattr(nn, "_WORKERS", 2)
 
-    def test_kernels_match_on_one_and_two_threads(self, monkeypatch):
-        rng = np.random.default_rng(21)
-        args = (
-            rng.normal(size=(ROWS, 64)), rng.normal(size=(ROWS, 64)),
-            rng.normal(size=64), rng.normal(size=64),
-            rng.normal(size=(64, 64)), rng.normal(size=64),
-        )
-        assert args[0].size >= nn._SPLIT_MIN
-        shares = []
-        share = nn._share
-        monkeypatch.setattr(nn, "_share", lambda job, count: shares.append(count) or share(job, count))
-        results = {}
-        for workers in (1, 2):
-            monkeypatch.setattr(nn, "_WORKERS", workers)
-            shares.clear()
-            results[workers] = _kernel_outputs(*args)
-            assert bool(shares) == (workers == 2)
-        for one, two in zip(results[1], results[2]):
-            assert one.dtype == two.dtype and np.array_equal(one, two)
+    def test_batch_chunks_cover_each_row_once(self):
+        for rows in (65, 256, 300, 2048):
+            chunks = nn.batch_chunks(rows, 50 * 64)
+            assert len(chunks) == -(-rows // 64)
+            assert chunks[0].start == 0 and chunks[-1].stop == rows
+            assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+            assert all(0 < c.stop - c.start <= 64 for c in chunks)
 
-    def test_chunks_start_on_aligned_rows_and_cover_each_row_once(self, two_threads):
-        x = np.zeros((ROWS, 64))
-        base = x.__array_interface__["data"][0]
-        seen = []
-
-        def kernel(chunk):
-            seen.append(((chunk.__array_interface__["data"][0] - base) // x.strides[0], len(chunk)))
-
-        nn.map_rows(kernel, (x,), 1)
-        assert len(seen) > 2
-        assert all(start % nn._ALIGN == 0 for start, _ in seen)
-        covered = sorted(seen)
-        assert covered[0][0] == 0
-        assert all(a + n == b for (a, n), (b, _) in zip(covered, covered[1:]))
-        assert covered[-1][0] + covered[-1][1] == ROWS
-
-    def test_small_arrays_run_whole_in_the_caller(self, two_threads):
-        calls = []
-        x = np.zeros((nn._SPLIT_MIN // 64 - 1, 64))
-        nn.map_rows(lambda a: calls.append((threading.get_ident(), len(a))), (x,), 1)
-        assert calls == [(threading.get_ident(), len(x))]
+    def test_batch_chunks_one_slice_below_split_size_or_at_64_rows(self):
+        assert nn.batch_chunks(2047, 64) == [slice(0, 2047)]  # 2^17 - 64 elements
+        assert len(nn.batch_chunks(2048, 64)) == 32
+        assert nn.batch_chunks(256, 10 * 16) == [slice(0, 256)]  # a small model's step
+        for rows in (1, 41, 64):
+            assert nn.batch_chunks(rows, 50 * 64) == [slice(0, rows)]
 
     def _race(self, work_in_caller):
-        """map_rows over a kernel whose chunks in the worker thread wait
-        0.2 s and then finish; the caller's chunks wait for the worker to
-        have started one, then run `work_in_caller`.  Returns the chunks
-        the worker finished, as filled in by the time map_rows is done."""
+        """A job whose chunks in the worker thread wait 0.2 s and then
+        finish; the caller's chunks wait for the worker to have started
+        one, then run `work_in_caller`.  Returns the job and the chunks
+        the worker finished, as filled in by the time run_chunks is done."""
         caller = threading.get_ident()
         started = threading.Event()
         finished = []
 
-        def kernel(chunk):
+        def job(i):
             if threading.get_ident() == caller:
                 assert started.wait(10), "the worker thread never ran a chunk"
                 work_in_caller()
                 return
             started.set()
             time.sleep(0.2)
-            finished.append(len(chunk))
+            finished.append(i)
 
-        return kernel, finished
+        return job, finished
 
     def test_caller_waits_for_the_worker_before_returning(self, two_threads):
-        kernel, finished = self._race(lambda: None)
-        nn.map_rows(kernel, (np.zeros((ROWS, 64)),), 1)
+        job, finished = self._race(lambda: None)
+        nn.run_chunks(job, CHUNKS)
         assert finished
 
     def test_caller_waits_for_the_worker_before_raising(self, two_threads):
         def fail():
             raise KeyError("caller chunk")
 
-        kernel, finished = self._race(fail)
+        job, finished = self._race(fail)
         with pytest.raises(KeyError, match="caller chunk"):
-            nn.map_rows(kernel, (np.zeros((ROWS, 64)),), 1)
+            nn.run_chunks(job, CHUNKS)
         assert finished
 
     def test_worker_error_reaches_the_caller(self, two_threads):
         caller = threading.get_ident()
 
-        def kernel(chunk):
+        def job(i):
             if threading.get_ident() != caller:
                 raise ValueError("worker chunk")
             time.sleep(0.05)  # leave the worker time to claim a chunk
 
         for _ in range(20):  # a run where the worker claimed no chunk raises nothing
             try:
-                nn.map_rows(kernel, (np.zeros((ROWS, 64)),), 1)
+                nn.run_chunks(job, CHUNKS)
             except ValueError as exc:
                 assert str(exc) == "worker chunk"
                 return
@@ -359,14 +325,15 @@ class TestRowPool:
     def test_concurrent_callers_share_the_worker(self, two_threads):
         # more callers than cores, switching threads every microsecond: a
         # chunk claimed twice or lost, or a result written into another
-        # caller's array, changes some caller's output
-        inputs = [np.random.default_rng(seed).normal(size=(ROWS, 64)) for seed in range(4)]
-        want = [nn.gelu(x)[0] for x in inputs]
+        # caller's array, changes some caller's scores
+        params, cfg = _model()
+        inputs = [np.random.default_rng(seed).integers(0, 21, size=(300, N)) for seed in range(4)]
+        want = [predict_scores_batch(params, cfg, ids) for ids in inputs]
         got = [None] * len(inputs)
 
         def call(i):
             for _ in range(5):
-                got[i] = nn.gelu(inputs[i])[0]
+                got[i] = predict_scores_batch(params, cfg, inputs[i])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -386,12 +353,15 @@ class TestRowPool:
         script = (
             "import json, threading, numpy as np\n"
             "from seqfilt import nn\n"
+            "from seqfilt.model import ModelConfig, init_params, predict_scores_batch\n"
             "nn._WORKERS = 2\n"
+            f"cfg = ModelConfig(num_items=20, max_len={N}, dim={D}, layers=1, num_bases=4)\n"
+            "params = init_params(cfg, np.random.default_rng(4))\n"
             "alive = lambda: any(t.name == 'seqfilt-rows' for t in threading.enumerate())\n"
             "seen = [alive()]\n"
-            "nn.layer_norm(np.ones((64, 64)), np.ones(64), np.zeros(64))\n"
+            f"predict_scores_batch(params, cfg, np.ones((64, {N}), dtype=int))\n"
             "seen.append(alive())\n"
-            "nn.layer_norm(np.ones((4096, 64)), np.ones(64), np.zeros(64))\n"
+            f"predict_scores_batch(params, cfg, np.ones((300, {N}), dtype=int))\n"
             "seen.append(alive())\n"
             "print(json.dumps(seen))\n"
         )
@@ -406,12 +376,13 @@ class TestRowPool:
         "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
     )
     def test_forked_child_starts_its_own_worker(self, two_threads, rng):
-        x, gamma, beta = rng.normal(size=(4096, 64)), rng.normal(size=64), rng.normal(size=64)
-        want, _ = nn.layer_norm(x, gamma, beta)  # the worker of this process runs
+        params, cfg = _model()
+        ids = rng.integers(0, 21, size=(300, N))
+        want = predict_scores_batch(params, cfg, ids)  # the worker of this process runs
         assert nn._worker[0] == os.getpid()
         ctx = multiprocessing.get_context("fork")
         results = ctx.Queue()
-        child = ctx.Process(target=_child_layer_norm, args=(x, gamma, beta, results))
+        child = ctx.Process(target=_child_scores, args=(params, cfg, ids, results))
         child.start()
         try:
             pid, pool_pid, got = results.get(timeout=60)

@@ -106,6 +106,27 @@ class TestLossAndGrads:
             loss_and_grads(params, cfg, ids, targets, alpha=0.0)
 
 
+    def test_chunked_batch_matches_one_chunk(self, monkeypatch):
+        """A 300-row batch at N=50, D=64 runs as five chunks, the last of
+        44 rows; with dropout off, it matches the batch run as one chunk
+        to rounding, in the loss and in every gradient group."""
+        rng = np.random.default_rng(31)
+        cfg = ModelConfig(num_items=60, max_len=50, dim=64, dropout=0.0)
+        params = init_params(cfg, rng)
+        ids = rng.integers(0, 61, size=(300, 50))
+        targets = rng.integers(1, 61, size=300)
+        sizes = [part.stop - part.start for part in nn.batch_chunks(300, 50 * 64)]
+        assert sizes == [64, 64, 64, 64, 44]
+        chunked = loss_and_grads(params, cfg, ids, targets, 0.1)
+        monkeypatch.setattr(tr, "batch_chunks", lambda rows, size: [slice(0, rows)])
+        whole = loss_and_grads(params, cfg, ids, targets, 0.1)
+        assert chunked[2] > 0
+        for got, want in zip(chunked[:3], whole[:3]):
+            assert rel_err(got, want, floor=1e-300) <= 1e-12
+        for key in params:
+            assert rel_err(chunked[3][key], whole[3][key], floor=1e-300) <= 1e-12, key
+
+
 class TestMakeSynthetic:
     def test_successor_sequence(self):
         rng = np.random.default_rng(0)
