@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -187,6 +188,11 @@ def cmd_train(args) -> int:
         "source": _source_id(),
         "version": __version__,
         "workers": pool_size(),
+        # BLAS's own threads compete with the pool's for the same cores
+        **{
+            name: os.environ.get(name)
+            for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        },
         "started": _now(),
     }
     _write_manifest(out / "manifest.json", manifest)

@@ -10,15 +10,15 @@ runs on B rows instead of B·N; `model_forward` returns it as (B, D).
 
 Each filter layer computes y = G x with one real N x N operator,
 G[i, i-k] = Re H[i, k] (causal; circular mode wraps i-k mod N and sums
-the wrapped taps).  Training, validation and frozen inference all run
-this operator; only live (unfrozen, eval-mode) prediction runs the
-paper's frequency-domain transforms from `spectral`, which stay the
-reference it is checked and timed against.  The signal is real, so only
-Re(H) reaches the output: `basis_im` acts only through the basis row
-norms and the orthogonality penalty.  Every example is encoded apart,
-so `predict_scores_batch` scores a batch that `nn.batch_chunks` splits
-chunk by chunk on the pool of `seqfilt.nn`, with the same bits on one
-thread as on two; the ids are checked once, for the whole batch.
+the wrapped taps), built by `filter_operators` once per training step.
+Training, validation and frozen inference all run G; only live
+(unfrozen, eval-mode) prediction runs the paper's frequency-domain
+transforms from `spectral`, the reference G is checked and timed
+against.  The signal is real, so only Re(H) reaches the output:
+`basis_im` acts only through the basis row norms and the orthogonality
+penalty.  Every example is encoded apart, so `predict_scores_batch`
+scores a batch that `nn.batch_chunks` splits chunk by chunk on the pool
+of `seqfilt.nn`, with the same bits on one thread as on two.
 
 Parameters live in a flat dict of float64 arrays so the optimizer and the
 gradient checks can treat every group uniformly.  Forward passes return
@@ -235,22 +235,6 @@ def _tap_operator(cfg: ModelConfig, taps):
     return flat.reshape(n, n)
 
 
-def _operator_backward(cfg: ModelConfig, op, x, dy):
-    """dx = Gᵀ dy, and the gradient of each applied tap,
-    d_taps[i, k] = Σ_batch (dy xᵀ)[i, col(i, k)].
-
-    `op` holds the last R rows of G and `dy` the gradient of those R
-    output positions; taps of the rows before them get zero gradient."""
-    first = cfg.max_len - len(op)
-    rows, shifts, cols = _band(cfg)
-    keep = rows >= first
-    rows, shifts, cols = rows[keep], shifts[keep], cols[keep]
-    outer = np.matmul(dy, x.transpose(0, 2, 1)).sum(axis=0)
-    d_taps = np.zeros((cfg.max_len, cfg.order + 1))
-    d_taps[rows, shifts] = outer[rows - first, cols]
-    return np.matmul(op.T, dy), d_taps
-
-
 def _live_filter(cfg: ModelConfig, taps, x):
     """The paper's frequency-domain filter on a (B, N, D) block; the
     reference that frozen operators are timed and checked against."""
@@ -271,6 +255,22 @@ def layer_taps(params, layer):
         params[block_key(layer, "basis_re")],
         params[block_key(layer, "basis_im")],
     )
+
+
+def filter_operators(params, cfg: ModelConfig):
+    """Every layer's operator G, and the tap caches `filter_backward` reads."""
+    built = [layer_taps(params, layer) for layer in range(cfg.layers)]
+    return [_tap_operator(cfg, taps) for taps, _ in built], [cache for _, cache in built]
+
+
+def filter_backward(cfg: ModelConfig, tap_caches, grads):
+    """Swap each layer's `block{l}_op` gradient in `grads` for its tap groups'."""
+    rows, shifts, cols = _band(cfg)
+    for layer, tap_cache in enumerate(tap_caches):
+        d_taps = np.zeros((cfg.max_len, cfg.order + 1))
+        d_taps[rows, shifts] = grads.pop(block_key(layer, "op"))[rows, cols]
+        names = (block_key(layer, name) for name in ("coef", "basis_re", "basis_im"))
+        grads.update(zip(names, build_tap_matrix_backward(tap_cache, d_taps)))
 
 
 # ---------------------------------------------------------------------------
@@ -331,20 +331,16 @@ def _embed_backward(cfg, cache, dx, d_emb):
 # encoder blocks
 
 
-def _block_forward(params, cfg, layer, x, rng, training, frozen_op=None):
-    """One block on (B, N, D) input.  Only the final position of the last
-    block reaches the head, and everything after the filter is
+def _block_forward(params, cfg, layer, x, rng, training, op=None):
+    """One block on (B, N, D) input, filtered by the N x N operator `op` or,
+    if None, by the live path (no backward).  Only the final position of
+    the last block reaches the head, and everything after the filter is
     position-wise, so the last block applies only row N-1 of its filter
     and runs on B rows; the others output all N positions."""
     key = lambda name: params[block_key(layer, name)]
     rows = 1 if layer == cfg.layers - 1 else cfg.max_len
-    op, tap_cache = frozen_op, None
     if op is None:
-        taps, tap_cache = layer_taps(params, layer)
-        if training:
-            op = _tap_operator(cfg, taps)
-    if op is None:
-        filtered = _live_filter(cfg, taps, x)[:, -rows:]
+        filtered = _live_filter(cfg, layer_taps(params, layer)[0], x)[:, -rows:]
     else:
         op = op[-rows:]
         filtered = np.matmul(op, x)
@@ -359,13 +355,14 @@ def _block_forward(params, cfg, layer, x, rng, training, frozen_op=None):
     res2, mask2 = dropout(h2, cfg.dropout, rng, training)
     res2 += f2d
     out2d, ln2_cache = layer_norm(res2, key("ln2_g"), key("ln2_b"))
-    cache = (tap_cache, op, x, mask1, ln1_cache, f2d, act, act_cache, mask2, ln2_cache)
+    cache = (op, x, mask1, ln1_cache, f2d, act, act_cache, mask2, ln2_cache)
     return out2d.reshape(res1.shape), cache
 
 
 def _block_backward(params, cfg, layer, cache, dy):
-    """Gradient of the block's input, and of its 11 groups keyed as in `params`."""
-    tap_cache, op, x, mask1, ln1_cache, f2d, act, act_cache, mask2, ln2_cache = cache
+    """Gradient of the block's input, and of its groups keyed as in `params`,
+    the filter's as its operator's: dG = Σ_batch dy xᵀ, keyed `block{l}_op`."""
+    op, x, mask1, ln1_cache, f2d, act, act_cache, mask2, ln2_cache = cache
     key = lambda name: params[block_key(layer, name)]
     g = {}
 
@@ -380,8 +377,9 @@ def _block_backward(params, cfg, layer, cache, dy):
     d_res1, g["ln1_g"], g["ln1_b"] = layer_norm_backward(ln1_cache, d_f)
     d_res1 = d_res1.reshape(len(x), len(op), cfg.dim)
     d_filtered = dropout_backward(mask1, d_res1)
-    dx, d_taps = _operator_backward(cfg, op, x, d_filtered)
-    g["coef"], g["basis_re"], g["basis_im"] = build_tap_matrix_backward(tap_cache, d_taps)
+    g["op"] = np.zeros((cfg.max_len, cfg.max_len))
+    g["op"][-len(op):] = np.matmul(d_filtered, x.transpose(0, 2, 1)).sum(axis=0)
+    dx = np.matmul(op.T, d_filtered)
     dx[:, -len(op):] += d_res1
     return dx, {block_key(layer, name): grad for name, grad in g.items()}
 
@@ -398,7 +396,7 @@ def _forward(params, cfg, ids, rng, training, frozen_ops):
     block_caches = []
     for layer in range(cfg.layers):
         op = None if frozen_ops is None else frozen_ops[layer]
-        x, cache = _block_forward(params, cfg, layer, x, rng, training, frozen_op=op)
+        x, cache = _block_forward(params, cfg, layer, x, rng, training, op)
         block_caches.append(cache)
     return x[:, -1], (emb_cache, block_caches)
 
@@ -455,7 +453,7 @@ def predict_scores(params, cfg, context, frozen_ops=None):
 
 def freeze_filters(params, cfg) -> list:
     """Collapse each layer's trained filter into its real N x N operator G."""
-    return [_tap_operator(cfg, layer_taps(params, layer)[0]) for layer in range(cfg.layers)]
+    return filter_operators(params, cfg)[0]
 
 
 def count_params(params) -> int:

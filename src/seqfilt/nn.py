@@ -19,12 +19,12 @@ examples, and `run_chunks` runs a job per chunk on a pool of
 min(2, usable CPUs) threads, the caller and one worker, which claim
 chunks from a shared counter.  `train.loss_and_grads` runs the forward
 pass, the head, the softmax and the backward pass of each chunk, and
-`model.predict_scores_batch` scores each chunk; Adam, the orthogonality
-penalty and the ranking run once per batch in the caller.  Smaller
-batches, which covers prediction at small batches and small models, run
-whole in the caller's thread with no handoff.  A chunk computes the same
-bits on either thread and results are summed in chunk order, so nothing
-depends on the pool size.  BLAS keeps its own thread setting.
+`model.predict_scores_batch` scores each chunk; the filter operators and
+their backward, Adam, the orthogonality penalty and the ranking run once
+per batch in the caller.  Smaller batches (small prediction batches,
+small models) run whole in the caller's thread, with no handoff.  A chunk
+computes the same bits on either thread and results are summed in chunk
+order, so nothing depends on the pool size.  BLAS keeps its own threads.
 
 Each training step allocates and frees hundreds of MB of such
 temporaries, and each prediction tens of MB.  Importing this module,
@@ -65,7 +65,6 @@ __all__ = [
     "affine_backward",
     "dropout",
     "dropout_backward",
-    "softmax_xent",
     "softmax_xent_batch",
     "ortho_penalty",
     "AdamState",
@@ -343,33 +342,6 @@ def dropout_backward(mask, dy):
     dx = dy * scale
     dx *= keep
     return dx
-
-
-def softmax_xent(logits, target, exclude=()):
-    """Cross-entropy of a stable softmax restricted to non-excluded indices.
-
-    Returns (loss, grad) where grad is p - onehot(target) on active
-    indices and exactly zero on excluded ones.  A test oracle only: the
-    program trains with `softmax_xent_batch`.
-    """
-    logits = np.asarray(logits, dtype=float)
-    v = logits.shape[0]
-    if not 0 <= target < v:
-        raise InvalidTarget(f"target {target} out of range for {v} logits")
-    active = np.ones(v, dtype=bool)
-    for i in exclude:
-        active[i] = False
-    if not active[target]:
-        raise InvalidTarget(f"target {target} is excluded")
-    a = logits[active]
-    m = a.max()
-    exp = np.exp(a - m)
-    z = exp.sum()
-    loss = m + np.log(z) - logits[target]
-    grad = np.zeros(v)
-    grad[active] = exp / z
-    grad[target] -= 1.0
-    return loss, grad
 
 
 def softmax_xent_batch(logits, targets):

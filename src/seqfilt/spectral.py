@@ -25,9 +25,7 @@ import numpy as np
 
 __all__ = [
     "ShapeError",
-    "CyclicShift",
     "SpectralBasis",
-    "make_shift",
     "make_basis",
     "apply_fixed_filter_time",
     "apply_fixed_filter_freq",
@@ -51,36 +49,12 @@ def _check_signal(x, size, name="signal"):
 
 
 @dataclass(frozen=True)
-class CyclicShift:
-    """Delay-by-one operator on a ring of `size` nodes."""
-
-    size: int
-
-    def apply(self, x):
-        x = _check_signal(x, self.size)
-        return np.roll(x, 1, axis=0)
-
-    def dense(self):
-        """Materialize the permutation matrix (row i has a 1 at column i-1 mod M)."""
-        idx = np.arange(self.size)
-        s = np.zeros((self.size, self.size))
-        s[idx, (idx - 1) % self.size] = 1.0
-        return s
-
-
-def make_shift(size: int) -> CyclicShift:
-    if size < 1:
-        raise ValueError(f"shift operator needs at least one node, got {size}")
-    return CyclicShift(size)
-
-
-@dataclass(frozen=True)
 class SpectralBasis:
     """Fourier basis of a cyclic shift operator, plus eigenvalue powers.
 
     `forward` maps time-domain signals to the frequency domain; its
     conjugate transpose `eigenvectors` maps back.  Columns of
-    `eigenvectors` are genuine eigenvectors of the matching CyclicShift.
+    `eigenvectors` are genuine eigenvectors of the ring's delay-by-one shift.
     `vandermonde[i, k]` holds `eigenvalues[i] ** k` for k = 0..order.
     Instances are immutable and safe to share across workers.
     """

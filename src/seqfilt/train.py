@@ -5,10 +5,10 @@ Each example is one history prefix whose target is the next item; the
 loss reads only the encoder's final position (`model_forward` returns
 it as (B, D)), so the last block is computed for that position alone.
 Examples are independent up to the loss, so a large batch runs as
-chunks of examples on the pool of `seqfilt.nn`; Adam and the
-orthogonality penalty run once per batch.  A non-finite loss raises
-`NumericError` naming the epoch, the batch and the first non-finite
-parameter group."""
+chunks of examples on the pool of `seqfilt.nn`; the filter operators
+and their backward, Adam and the orthogonality penalty run once per
+batch.  A non-finite loss raises `NumericError` naming the epoch, the
+batch and the first non-finite parameter group."""
 
 from __future__ import annotations
 
@@ -19,7 +19,8 @@ import numpy as np
 
 from .data import Corpus, DataError, make_batches, split_loo, train_examples
 from .evaluation import evaluate
-from .model import ModelConfig, atomic_open, block_key, init_params, model_backward, model_forward, score_logits
+from .model import ModelConfig, atomic_open, block_key, filter_backward, filter_operators, init_params
+from .model import model_backward, model_forward, score_logits
 from .nn import NumericError, adam_init, adam_step, batch_chunks, ortho_penalty, run_chunks, softmax_xent_batch
 
 __all__ = [
@@ -91,20 +92,21 @@ def loss_and_grads(params, cfg: ModelConfig, ids, targets, alpha, rng=None):
     Returns (loss, ce, ortho, grads).
 
     A batch that `batch_chunks` splits runs chunk by chunk on the pool:
-    each chunk runs the forward pass, the head, the softmax and the
-    backward pass, with its CE and logit gradient scaled by its share of
-    the batch and a dropout generator of its own, seeded from `rng`; the
-    gradients are summed in chunk order.  A batch of one chunk draws its
-    dropout from `rng` itself.  The penalty runs once, on the sum."""
+    each chunk runs the forward pass on the batch's filter operators, the
+    head, the softmax and the backward pass, with its CE and logit gradient
+    scaled by its share of the batch and a dropout generator of its own,
+    seeded from `rng`; a one-chunk batch draws from `rng` itself.  The
+    gradients sum in chunk order; the filter backward and penalty run once."""
     ids, targets = np.asarray(ids), np.asarray(targets)
     chunks = batch_chunks(len(ids), cfg.max_len * cfg.dim)
     rngs = [rng] * len(chunks)
     if rng is not None and len(chunks) > 1:
         rngs = [np.random.default_rng(seed) for seed in rng.integers(1 << 63, size=len(chunks))]
+    ops, tap_caches = filter_operators(params, cfg)
     parts = [None] * len(chunks)
 
     def job(i):
-        x_last, cache = model_forward(params, cfg, ids[chunks[i]], rng=rngs[i], training=True)
+        x_last, cache = model_forward(params, cfg, ids[chunks[i]], rngs[i], training=True, frozen_ops=ops)
         ce, d_logits = softmax_xent_batch(score_logits(params, x_last), targets[chunks[i]])
         share = len(x_last) / len(ids)
         d_logits *= share
@@ -117,6 +119,7 @@ def loss_and_grads(params, cfg: ModelConfig, ids, targets, alpha, rng=None):
         ce += part_ce
         for key, grad in part_grads.items():
             grads[key] += grad
+    filter_backward(cfg, tap_caches, grads)
 
     ortho_total = 0.0
     for layer in range(cfg.layers):

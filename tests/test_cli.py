@@ -1,6 +1,7 @@
 """End-to-end command-line tests on a tiny synthetic corpus."""
 
 import json
+import os
 import subprocess
 from pathlib import Path
 
@@ -80,6 +81,8 @@ class TestTrain:
         assert manifest["model_config"]["dim"] == 8
         assert manifest["parameters"] > 0
         assert manifest["workers"] == nn.pool_size()
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            assert manifest[name] == os.environ.get(name), name
 
     def test_refuses_overwrite_without_force(self, run_dir, corpus_file):
         code = cli.main(

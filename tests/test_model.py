@@ -224,9 +224,9 @@ class TestEncoder:
             bumped[0, j] = (ids[0, j] % 20) + 1
             _, (_, blocks) = mdl.model_forward(params, cfg, bumped, training=False)
             for blk in range(cfg.layers - 1):
-                filt_base, filt_new = (ops[blk] @ b[blk][2] for b in (base_blocks, blocks))
+                filt_base, filt_new = (ops[blk] @ b[blk][1] for b in (base_blocks, blocks))
                 assert np.abs(filt_new[0, :j] - filt_base[0, :j]).max() <= 1e-12
-                out_base, out_new = base_blocks[blk + 1][2], blocks[blk + 1][2]
+                out_base, out_new = base_blocks[blk + 1][1], blocks[blk + 1][1]
                 assert np.abs(out_new[0, :j] - out_base[0, :j]).max() <= 1e-12
 
     def test_circular_mode_mixes_all_positions(self, rng):

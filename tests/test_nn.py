@@ -18,6 +18,33 @@ from seqfilt import nn
 from seqfilt.model import ModelConfig, init_params, predict_scores_batch
 
 
+def softmax_xent(logits, target, exclude=()):
+    """Cross-entropy of a stable softmax restricted to non-excluded indices.
+
+    Returns (loss, grad) where grad is p - onehot(target) on active
+    indices and exactly zero on excluded ones: the one-row oracle for
+    `nn.softmax_xent_batch`.
+    """
+    logits = np.asarray(logits, dtype=float)
+    v = logits.shape[0]
+    if not 0 <= target < v:
+        raise nn.InvalidTarget(f"target {target} out of range for {v} logits")
+    active = np.ones(v, dtype=bool)
+    for i in exclude:
+        active[i] = False
+    if not active[target]:
+        raise nn.InvalidTarget(f"target {target} is excluded")
+    a = logits[active]
+    m = a.max()
+    exp = np.exp(a - m)
+    z = exp.sum()
+    loss = m + np.log(z) - logits[target]
+    grad = np.zeros(v)
+    grad[active] = exp / z
+    grad[target] -= 1.0
+    return loss, grad
+
+
 class TestLayerNorm:
     def test_constant_row_maps_to_zero(self):
         x = np.full((1, 6), 3.7)
@@ -130,13 +157,13 @@ class TestDropout:
 
 class TestSoftmaxXent:
     def test_uniform_logits(self):
-        loss, _ = nn.softmax_xent(np.zeros(20), target=3)
+        loss, _ = softmax_xent(np.zeros(20), target=3)
         assert abs(loss - np.log(20.0)) <= 1e-12
 
     def test_saturated_target(self):
         logits = np.zeros(10)
         logits[4] = 1000.0
-        loss, _ = nn.softmax_xent(logits, target=4)
+        loss, _ = softmax_xent(logits, target=4)
         assert loss <= 1e-6
 
     def test_gradient(self, rng):
@@ -145,28 +172,28 @@ class TestSoftmaxXent:
         exclude = {0, 7}
 
         def loss():
-            return nn.softmax_xent(logits, target, exclude)[0]
+            return softmax_xent(logits, target, exclude)[0]
 
-        _, grad = nn.softmax_xent(logits, target, exclude)
+        _, grad = softmax_xent(logits, target, exclude)
         assert rel_err(grad, finite_diff(loss, logits)) <= 1e-5
 
     def test_gradient_sums_to_zero_and_respects_exclusions(self, rng):
         logits = rng.normal(size=15)
-        _, grad = nn.softmax_xent(logits, 2, exclude={0, 9})
+        _, grad = softmax_xent(logits, 2, exclude={0, 9})
         assert grad[0] == 0.0 and grad[9] == 0.0
         assert abs(grad.sum()) <= 1e-12
 
     def test_invalid_targets(self):
         with pytest.raises(nn.InvalidTarget):
-            nn.softmax_xent(np.zeros(5), 2, exclude={2})
+            softmax_xent(np.zeros(5), 2, exclude={2})
         with pytest.raises(nn.InvalidTarget):
-            nn.softmax_xent(np.zeros(5), 7)
+            softmax_xent(np.zeros(5), 7)
 
     def test_batch_matches_single(self, rng):
         logits = rng.normal(size=(6, 9))
         targets = rng.integers(1, 9, size=6)
         loss, grad = nn.softmax_xent_batch(logits, targets)
-        singles = [nn.softmax_xent(logits[i], targets[i], {0}) for i in range(6)]
+        singles = [softmax_xent(logits[i], targets[i], {0}) for i in range(6)]
         assert abs(loss - np.mean([s[0] for s in singles])) <= 1e-12
         stacked = np.stack([s[1] for s in singles]) / 6
         assert np.abs(grad - stacked).max() <= 1e-12

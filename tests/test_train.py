@@ -13,7 +13,7 @@ import pytest
 from conftest import finite_diff, rel_err
 from seqfilt.data import Corpus, split_loo
 from seqfilt.evaluation import evaluate
-from seqfilt import nn
+from seqfilt import model as mdl, nn
 from seqfilt.model import ModelConfig, init_params, save_checkpoint
 from seqfilt.nn import NumericError
 from seqfilt import train as tr
@@ -125,6 +125,24 @@ class TestLossAndGrads:
             assert rel_err(got, want, floor=1e-300) <= 1e-12
         for key in params:
             assert rel_err(chunked[3][key], whole[3][key], floor=1e-300) <= 1e-12, key
+
+    def test_chunked_step_builds_each_filter_once(self, monkeypatch):
+        """The taps and their backward depend on the parameters alone, so
+        a step of five chunks builds and differentiates each layer's once."""
+        calls = {"build_tap_matrix": 0, "build_tap_matrix_backward": 0}
+        for name in calls:
+            def counting(*args, _inner=getattr(mdl, name), _name=name):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(mdl, name, counting)
+        rng = np.random.default_rng(32)
+        cfg = ModelConfig(num_items=60, max_len=50, dim=64, layers=2, dropout=0.2)
+        params = init_params(cfg, rng)
+        ids = rng.integers(0, 61, size=(300, 50))
+        assert len(nn.batch_chunks(300, 50 * 64)) == 5
+        loss_and_grads(params, cfg, ids, rng.integers(1, 61, size=300), 0.0, rng=rng)
+        assert calls == {"build_tap_matrix": cfg.layers, "build_tap_matrix_backward": cfg.layers}
 
 
 class TestMakeSynthetic:
