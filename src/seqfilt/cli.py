@@ -287,7 +287,8 @@ def cmd_bench(args) -> int:
     plain = predict_scores_batch(params, cfg, ids)
     frozen = predict_scores_batch(params, cfg, ids, frozen_ops=ops)
     max_diff = float(np.abs(plain - frozen).max())
-    if max_diff > 1e-10:
+    # written so that a NaN difference fails the gate too
+    if not max_diff <= 1e-10:
         raise NumericError(
             f"frozen and unfrozen scores disagree (max abs diff {max_diff:.3e})"
         )

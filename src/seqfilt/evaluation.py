@@ -4,6 +4,13 @@ Every prediction scores the entire catalog (no sampled negatives); the
 held-out item's rank is 1 plus the number of better-scoring items, with
 ties broken in favour of the lower item id so results are reproducible
 across platforms.
+
+`evaluate` runs one job per chunk of a batch (`nn.batch_chunks`) on the
+row pool (`nn.run_chunks`): the job scores its rows and ranks them into
+one preallocated rank array, so a chunked batch ranks on both threads.
+A row's rank reads only its own scores, so ranks and reports are the
+same bits whatever the chunking or the pool size.  A target whose score
+is not finite raises `NumericError` rather than ranking first.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import numpy as np
 
 from .data import Split, eval_instances, make_batches
 from .model import ModelConfig, freeze_filters, predict_scores_batch
-from .nn import InvalidTarget
+from .nn import InvalidTarget, NumericError, batch_chunks, run_chunks
 
 __all__ = [
     "CUTOFFS",
@@ -95,36 +102,47 @@ def aggregate_ranks(ranks, mode, num_empty_context=0, filter_seen=False) -> Eval
     ranks = np.asarray(ranks)
     if ranks.size == 0:
         raise ValueError("cannot aggregate an empty set of ranks")
-    hr, ndcg = {}, {}
-    gain = 1.0 / np.log2(ranks + 1)
-    for r in CUTOFFS:
-        hit = ranks <= r
-        hr[r] = float(hit.mean())
-        ndcg[r] = float(np.where(hit, gain, 0.0).mean())
+    # one (cutoffs, users) pass, each row reduced as the 1-D mean would be
+    hit = ranks <= np.array(CUTOFFS)[:, None]
+    hr = dict(zip(CUTOFFS, map(float, hit.mean(axis=1))))
+    ndcg = dict(zip(CUTOFFS, map(float, np.where(hit, 1.0 / np.log2(ranks + 1), 0.0).mean(axis=1))))
     return EvalReport(mode, int(ranks.size), num_empty_context, filter_seen, hr, ndcg)
 
 
-def _batched_ranks(logits, targets, contexts=()):
-    """Vectorized ranks over a batch; matches rank_of_target with the
-    padding id excluded, and row i's seen items (the i-th of `contexts`)
-    when given.  Overwrites `logits`: once each row's own score is read,
-    the excluded entries are set to -inf, so they never count as better
-    or tied; the target never counts either, so a seen target needs no
-    special case.  The seen items are set in one flat scatter: each row's
-    offset in the raveled (B, V) logits, repeated over its context, plus
-    the item ids."""
+def _seen_index(items, starts, ends, width):
+    """Row i's seen items `items[starts[i]:ends[i]]` as one flat index into
+    a raveled (len(ends), width) score block: offset i * width plus the ids."""
+    lengths = ends - starts
+    row = np.repeat(np.arange(len(ends)), lengths)
+    pos = (starts - np.cumsum(lengths) + lengths).take(row)
+    pos += np.arange(len(row))
+    seen = items.take(pos)
+    row *= width
+    seen += row
+    return seen
+
+
+def _batched_ranks(logits, targets, seen=None):
+    """Ranks over a (B, V) score block; each matches rank_of_target with
+    the padding id and, given a `_seen_index`, the row's seen items
+    excluded.  Overwrites `logits`: once each row's own score is read, the
+    padding column, the seen items and the target are set to -inf, so they
+    never count as better or tied and a seen target needs no special case.
+    The lower-id tie term is counted only when some row has a tie.  A row
+    whose target score is not finite gets rank 0, for the caller to report."""
     b, v = logits.shape
     rows = np.arange(b)
     own = logits[rows, targets][:, None]
     logits[:, 0] = -np.inf
-    if len(contexts):
-        lengths = np.fromiter(map(len, contexts), dtype=np.intp, count=b)
-        seen = np.concatenate(contexts).astype(np.intp, copy=False)
-        seen += np.repeat(np.arange(0, b * v, v), lengths)
+    if seen is not None:
         logits.ravel()[seen] = -np.inf
-    better = np.count_nonzero(logits > own, axis=1)
-    tied_lower = np.count_nonzero((logits == own) & (np.arange(v) < targets[:, None]), axis=1)
-    return 1 + better + tied_lower
+    logits[rows, targets] = -np.inf
+    ranks = 1 + np.count_nonzero(logits > own, axis=1)
+    tied = logits == own
+    if tied.any():
+        ranks += np.count_nonzero(tied & (np.arange(v) < targets[:, None]), axis=1)
+    ranks[~np.isfinite(own[:, 0])] = 0
+    return ranks
 
 
 def evaluate(
@@ -137,19 +155,29 @@ def evaluate(
 ) -> EvalReport:
     """Score every user's context, rank the held-out target over the full
     catalog, and average HR/NDCG at each cutoff.  The filters are frozen
-    once on entry, so every batch runs the real operators."""
+    once on entry, so every batch runs the real operators.  Raises
+    `NumericError` naming the first user whose target score is not finite."""
     examples = eval_instances(split, mode)
     items, starts, ends = examples
     if not len(ends):
         raise ValueError("empty split")
     ops = freeze_filters(params, cfg)
-    all_ranks = []
+    ranks = np.empty(len(ends), dtype=np.intp)
     batches = make_batches(examples, cfg.max_len, batch_size)
     for lo, (ids, targets) in zip(range(0, len(ends), batch_size), batches):
-        logits = predict_scores_batch(params, cfg, ids, frozen_ops=ops)
-        rows = slice(lo, lo + batch_size)
-        seen = [items[s:e] for s, e in zip(starts[rows], ends[rows])] if filter_seen else ()
-        all_ranks.append(_batched_ranks(logits, targets, seen))
-    ranks = np.concatenate(all_ranks)
+        chunks = batch_chunks(len(ids), cfg.max_len * cfg.dim)
+
+        def job(i):  # scores and ranks one chunk; run within this iteration
+            rows = chunks[i]
+            users = slice(lo + rows.start, lo + rows.stop)
+            logits = predict_scores_batch(params, cfg, ids[rows], frozen_ops=ops)
+            seen = _seen_index(items, starts[users], ends[users], logits.shape[1]) if filter_seen else None
+            ranks[users] = _batched_ranks(logits, targets[rows], seen)
+
+        run_chunks(job, len(chunks))
+    if not ranks.all():
+        i = int(np.argmin(ranks))
+        where = f"user {split.users[i]} (batch {i // batch_size}, row {i % batch_size})"
+        raise NumericError(f"{where}: target score is not finite")
     num_empty = int(np.count_nonzero(starts == ends))
     return aggregate_ranks(ranks, mode, num_empty, filter_seen)

@@ -18,13 +18,14 @@ batch whose activations hold at least 2^17 elements into chunks of 64
 examples, and `run_chunks` runs a job per chunk on a pool of
 min(2, usable CPUs) threads, the caller and one worker, which claim
 chunks from a shared counter.  `train.loss_and_grads` runs the forward
-pass, the head, the softmax and the backward pass of each chunk, and
-`model.predict_scores_batch` scores each chunk; the filter operators and
-their backward, Adam, the orthogonality penalty and the ranking run once
-per batch in the caller.  Smaller batches (small prediction batches,
-small models) run whole in the caller's thread, with no handoff.  A chunk
-computes the same bits on either thread and results are summed in chunk
-order, so nothing depends on the pool size.  BLAS keeps its own threads.
+pass, the head, the softmax and the backward pass of each chunk,
+`model.predict_scores_batch` scores each chunk, and `evaluation.evaluate`
+scores and ranks each chunk; the filter operators and their backward,
+Adam and the orthogonality penalty run once per batch in the caller.
+Smaller batches (small prediction batches, small models) run whole in
+the caller's thread, with no handoff.  A chunk computes the same bits on
+either thread and results are summed in chunk order, so nothing depends
+on the pool size.  BLAS keeps its own threads.
 
 Each training step allocates and frees hundreds of MB of such
 temporaries, and each prediction tens of MB.  Importing this module,

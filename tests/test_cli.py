@@ -68,6 +68,17 @@ def run_dir(tmp_path_factory, corpus_file):
     return out
 
 
+@pytest.fixture
+def nan_checkpoint(tmp_path, run_dir):
+    """The trained checkpoint with every embedding entry NaN, so every
+    score comes out NaN."""
+    params, cfg, meta = load_checkpoint(run_dir / "checkpoint.bin")
+    params["emb"][:] = np.nan
+    path = tmp_path / "nan.bin"
+    save_checkpoint(path, params, cfg, meta=meta)
+    return path
+
+
 class TestTrain:
     def test_outputs_exist(self, run_dir):
         for name in ("checkpoint.bin", "trainlog.csv", "manifest.json", "item_map.json"):
@@ -209,6 +220,19 @@ class TestEval:
         assert_one_line_error(capsys)
         assert (out / "report_test.csv").read_bytes() == before
         assert not list(out.glob("*.tmp"))
+
+    def test_non_finite_scores_are_numeric_error(self, tmp_path, corpus_file, nan_checkpoint, capsys):
+        # a NaN target score compares neither greater nor equal to any
+        # other, so it used to rank first and report HR = NDCG = 1
+        out = tmp_path / "eval"
+        code = cli.main(
+            ["eval", "--checkpoint", str(nan_checkpoint), "--data", str(corpus_file), "--out", str(out)]
+        )
+        assert code == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert "(batch 0, row 0): target score is not finite" in err
+        assert not (out / "report_test.csv").exists()
 
     def test_fresh_random_checkpoint_near_uniform(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -497,6 +521,13 @@ class TestBench:
         assert code == cli.EXIT_OK
         text = (out / "bench.csv").read_text()
         assert "speedup" in text and "unfrozen" in text
+
+    def test_non_finite_scores_fail_the_equivalence_gate(self, tmp_path, nan_checkpoint, capsys):
+        out = tmp_path / "bench"
+        code = cli.main(["bench", "--checkpoint", str(nan_checkpoint), "--repeats", "1", "--out", str(out)])
+        assert code == cli.EXIT_NUMERIC
+        assert_one_line_error(capsys)
+        assert not (out / "bench.csv").exists()
 
     def test_zero_repeats_rejected(self, tmp_path, run_dir):
         code = cli.main(

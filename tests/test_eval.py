@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from seqfilt import evaluation as ev
-from seqfilt.data import Corpus, Split, split_loo
+from seqfilt import nn
+from seqfilt.data import Corpus, Split, eval_instances, make_batches, split_loo
 from seqfilt.model import (
     ModelConfig,
     freeze_filters,
@@ -14,8 +15,9 @@ from seqfilt.model import (
     model_forward,
     pad_context,
     predict_scores,
+    predict_scores_batch,
 )
-from seqfilt.nn import InvalidTarget
+from seqfilt.nn import InvalidTarget, NumericError
 from seqfilt.train import make_synthetic
 
 
@@ -109,6 +111,72 @@ class TestAggregate:
         assert "HR" in report.table()
 
 
+def make_synthetic_random(num_users, num_items, rng):
+    """Random histories of 3 to 12 items, repeats allowed, so a target can
+    sit among its user's seen items."""
+    seqs = [rng.integers(1, num_items + 1, size=rng.integers(3, 13)).tolist() for _ in range(num_users)]
+    return Corpus(list(range(num_users)), seqs, num_items)
+
+
+def oracle_ranks(scores, targets, contexts=None):
+    """rank_of_target row by row, the padding id and each row's context
+    (when given) excluded; a target among its own context is ranked, as
+    evaluate ranks a repeat consumption."""
+    contexts = contexts if contexts is not None else [()] * len(targets)
+    return np.array([
+        ev.rank_of_target(row, t, exclude={0, *c} - {t}) for row, t, c in zip(scores, targets, contexts)
+    ])
+
+
+class TestBatchedRanks:
+    def test_ties_below_and_above_the_target(self):
+        scores = np.array([
+            [9.0, 1.0, 2.0, 2.0, 2.0, 0.5, 2.0],  # target 3: ties at 2 below, 4 and 6 above
+            [9.0, 2.0, 2.0, 3.0, 1.0, 2.0, 0.0],  # target 1: ties only above, one better
+            [9.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0],  # target 6: ties only below
+        ])
+        targets = np.array([3, 1, 6])
+        got = ev._batched_ranks(scores.copy(), targets)
+        assert got.tolist() == oracle_ranks(scores, targets).tolist() == [2, 2, 5]
+
+    def test_target_among_seen_items(self):
+        scores = np.array([[0.0, 3.0, 1.0, 2.0, 1.0], [0.0, 1.0, 1.0, 4.0, 1.0]])
+        targets = np.array([2, 4])
+        contexts = [[2, 1], [4, 3, 2]]
+        seen = ev._seen_index(np.array([2, 1, 4, 3, 2]), np.array([0, 2]), np.array([2, 5]), 5)
+        assert seen.tolist() == [2, 1, 9, 8, 7]
+        got = ev._batched_ranks(scores.copy(), targets, seen)
+        assert got.tolist() == oracle_ranks(scores, targets, contexts).tolist() == [2, 2]
+
+    def test_all_tied_row(self):
+        scores = np.full((2, 9), 0.25)
+        targets = np.array([1, 8])
+        got = ev._batched_ranks(scores.copy(), targets)
+        assert got.tolist() == oracle_ranks(scores, targets).tolist() == [1, 8]
+
+    def test_partial_last_batch_with_seen_items(self, rng):
+        # 11 users in batches of 4, each batch ranked from the flat index
+        # of its own rows, the last batch holding 3 rows; rounded scores tie
+        split = split_loo(make_synthetic_random(11, 12, rng))
+        items, starts, ends = eval_instances(split, "test")
+        scores = np.round(rng.normal(size=(11, 13)), 1)
+        targets = items[ends]
+        contexts = [items[s:e] for s, e in zip(starts, ends)]
+        want = oracle_ranks(scores, targets, contexts)
+        got = []
+        for lo in range(0, 11, 4):
+            rows = slice(lo, lo + 4)
+            seen = ev._seen_index(items, starts[rows], ends[rows], 13)
+            got.extend(ev._batched_ranks(scores[rows].copy(), targets[rows], seen))
+        assert got == want.tolist()
+
+    def test_non_finite_target_score_ranks_zero(self):
+        scores = np.array([[0.0, 1.0, 2.0], [0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [0.0, 1.0, np.nan]])
+        targets = np.array([1, 1, 2, 1])
+        # a NaN elsewhere in the row is not counted, as in rank_of_target
+        assert ev._batched_ranks(scores, targets).tolist() == [2, 0, 0, 1]
+
+
 class TestEvaluate:
     def test_random_model_hits_uniform_baseline(self):
         rng = np.random.default_rng(8)
@@ -126,23 +194,26 @@ class TestEvaluate:
     def test_batched_ranks_match_scalar(self, rng):
         logits = rng.normal(size=(40, 25))
         targets = rng.integers(1, 25, size=40)
-        batched = ev._batched_ranks(logits.copy(), targets)
-        for i in range(40):
-            assert batched[i] == ev.rank_of_target(logits[i], targets[i], exclude={0})
+        # distinct scores, then rounded ones that tie
+        for scores in (logits, np.round(logits, 1)):
+            batched = ev._batched_ranks(scores.copy(), targets)
+            for i in range(40):
+                assert batched[i] == ev.rank_of_target(scores[i], targets[i], exclude={0})
 
     def test_filter_seen_excludes_context(self, rng):
         logits = np.zeros((1, 6))
         logits[0, 3] = 5.0  # seen item scores highest
         targets = np.array([2])
         plain = ev._batched_ranks(logits.copy(), targets)
-        filtered = ev._batched_ranks(logits.copy(), targets, [[3]])
+        # one row: the flat index of item 3 is 3
+        filtered = ev._batched_ranks(logits.copy(), targets, np.array([3]))
         assert plain[0] == filtered[0] + 1
 
     def test_filter_seen_never_drops_target(self, rng):
         logits = np.zeros((1, 6))
         targets = np.array([2])
         # target already interacted with (repeat consumption)
-        ranks = ev._batched_ranks(logits, targets, [[2, 4]])
+        ranks = ev._batched_ranks(logits, targets, np.array([2, 4]))
         assert ranks[0] >= 1
 
     def test_empty_split_errors(self, rng):
@@ -198,3 +269,47 @@ class TestEvaluate:
             assert report.hr == want.hr and report.ndcg == want.ndcg
             assert report.num_users == 11 and report.filter_seen
             assert report.num_empty_context == (1 if mode == "valid" else 0)
+
+    def test_chunked_batches_match_on_one_and_two_threads(self, monkeypatch):
+        # at N=50 and D=64 a 300-user batch splits into 5 chunks (4 x 64
+        # and 44), each scored and ranked by its own job; the last batch
+        # of 37 users runs whole
+        rng = np.random.default_rng(14)
+        split = split_loo(make_synthetic_random(337, 60, rng))
+        cfg = ModelConfig(num_items=60, max_len=50, dim=64, layers=2, num_bases=4)
+        params = init_params(cfg, rng)
+        assert [len(nn.batch_chunks(b, cfg.max_len * cfg.dim)) for b in (300, 37)] == [5, 1]
+        shares = []
+        share = nn._share
+        monkeypatch.setattr(nn, "_share", lambda job, count: shares.append(count) or share(job, count))
+        ops = freeze_filters(params, cfg)
+        for seen in (False, True):
+            reports = []
+            for workers in (1, 2):
+                monkeypatch.setattr(nn, "_WORKERS", workers)
+                shares.clear()
+                reports.append(ev.evaluate(split, params, cfg, batch_size=300, filter_seen=seen).to_csv())
+                assert shares == ([5] if workers == 2 else [])
+            assert reports[0] == reports[1]
+            # the oracle ranks the same batches' scores one row at a time
+            examples = eval_instances(split, "test")
+            items, starts, ends = examples
+            ranks = []
+            for ids, targets in make_batches(examples, cfg.max_len, 300):
+                scores = predict_scores_batch(params, cfg, ids, frozen_ops=ops)
+                lo = len(ranks)
+                contexts = [items[starts[i]:ends[i]] for i in range(lo, lo + len(ids))] if seen else None
+                ranks.extend(oracle_ranks(scores, targets, contexts))
+            assert reports[0] == ev.aggregate_ranks(ranks, "test", 0, seen).to_csv()
+
+    def test_non_finite_target_score_is_numeric_error(self, rng):
+        # item 7 is only user 5's test target, so a NaN embedding for it
+        # makes column 7 NaN and leaves every other target score finite
+        seqs = [[1, 2, 3, 4], [2, 3, 4, 5], [3, 4, 5, 6], [4, 5, 6, 1], [5, 6, 1, 2], [6, 1, 2, 7], [1, 3, 5]]
+        split = split_loo(Corpus(list(range(10, 17)), seqs, 7))
+        cfg = ModelConfig(num_items=7, max_len=4, dim=4, layers=1, num_bases=2)
+        params = init_params(cfg, rng)
+        params["emb"][7] = np.nan
+        with pytest.raises(NumericError) as info:
+            ev.evaluate(split, params, cfg, batch_size=4)
+        assert str(info.value) == "user 15 (batch 1, row 1): target score is not finite"
