@@ -10,7 +10,9 @@ row pool (`nn.run_chunks`): the job scores its rows and ranks them into
 one preallocated rank array, so a chunked batch ranks on both threads.
 A row's rank reads only its own scores, so ranks and reports are the
 same bits whatever the chunking or the pool size.  A target whose score
-is not finite raises `NumericError` rather than ranking first.
+is not finite, or a NaN score of any ranked item, raises `NumericError`:
+the first would rank first, and NaN compares neither better nor tied, so
+its item would silently leave the catalog and inflate HR and NDCG.
 """
 
 from __future__ import annotations
@@ -128,8 +130,10 @@ def _batched_ranks(logits, targets, seen=None):
     excluded.  Overwrites `logits`: once each row's own score is read, the
     padding column, the seen items and the target are set to -inf, so they
     never count as better or tied and a seen target needs no special case.
-    The lower-id tie term is counted only when some row has a tie.  A row
-    whose target score is not finite gets rank 0, for the caller to report."""
+    The lower-id tie term is counted only when some row has a tie or a
+    NaN.  For the caller to report, a row whose target score is not
+    finite gets rank 0, and otherwise a row that ranks a NaN score gets
+    minus the first such item's id."""
     b, v = logits.shape
     rows = np.arange(b)
     own = logits[rows, targets][:, None]
@@ -137,10 +141,16 @@ def _batched_ranks(logits, targets, seen=None):
     if seen is not None:
         logits.ravel()[seen] = -np.inf
     logits[rows, targets] = -np.inf
-    ranks = 1 + np.count_nonzero(logits > own, axis=1)
-    tied = logits == own
-    if tied.any():
+    better = np.count_nonzero(logits > own, axis=1)
+    ranks = 1 + better
+    # a score is above, below or tied with its row's own, or NaN: only a
+    # tie or a NaN is in neither count.  The excluded columns and the
+    # target are -inf by now, so a NaN is a ranked item's score.
+    if better.sum() + np.count_nonzero(logits < own) < logits.size:
+        tied = logits == own
         ranks += np.count_nonzero(tied & (np.arange(v) < targets[:, None]), axis=1)
+        bad = np.flatnonzero(np.isnan(logits).any(axis=1))
+        ranks[bad] = -np.isnan(logits[bad]).argmax(axis=1)
     ranks[~np.isfinite(own[:, 0])] = 0
     return ranks
 
@@ -156,7 +166,8 @@ def evaluate(
     """Score every user's context, rank the held-out target over the full
     catalog, and average HR/NDCG at each cutoff.  The filters are frozen
     once on entry, so every batch runs the real operators.  Raises
-    `NumericError` naming the first user whose target score is not finite."""
+    `NumericError` naming the first user whose target score is not finite
+    or who ranks an item whose score is NaN."""
     examples = eval_instances(split, mode)
     items, starts, ends = examples
     if not len(ends):
@@ -175,9 +186,10 @@ def evaluate(
             ranks[users] = _batched_ranks(logits, targets[rows], seen)
 
         run_chunks(job, len(chunks))
-    if not ranks.all():
-        i = int(np.argmin(ranks))
+    if ranks.min() < 1:
+        i = int(np.flatnonzero(ranks < 1)[0])
         where = f"user {split.users[i]} (batch {i // batch_size}, row {i % batch_size})"
-        raise NumericError(f"{where}: target score is not finite")
+        what = "target score is not finite" if ranks[i] == 0 else f"score of item {-ranks[i]} is NaN"
+        raise NumericError(f"{where}: {what}")
     num_empty = int(np.count_nonzero(starts == ends))
     return aggregate_ranks(ranks, mode, num_empty, filter_seen)

@@ -24,6 +24,17 @@ Parameters live in a flat dict of float64 arrays so the optimizer and the
 gradient checks can treat every group uniformly.  Forward passes return
 caches that the matching backward passes consume; there is no tape.
 Each backward pass returns the gradients of its own groups.
+
+Memory.  A block drops each forward transient once it is dead, and its
+cache keeps only what the backward reads and cannot rebuild in one pass:
+the block input, the two dropout masks, both layer norms' x̂ and the
+GELU input and Φ.  The FFN input and the GELU output are rebuilt in the
+backward by the same ops in the same order, so the bits do not change.
+`model_backward` consumes the cache: it pops each block's cache list,
+`_block_backward` empties it and releases every buffer after its last
+read, the layer-norm backwards build their shift in their x̂, and a dy
+that a block backward made is handed to the next block below as the
+buffer for its second layer norm's dx.
 """
 
 from __future__ import annotations
@@ -336,7 +347,8 @@ def _block_forward(params, cfg, layer, x, rng, training, op=None):
     if None, by the live path (no backward).  Only the final position of
     the last block reaches the head, and everything after the filter is
     position-wise, so the last block applies only row N-1 of its filter
-    and runs on B rows; the others output all N positions."""
+    and runs on B rows; the others output all N positions.  The cache is
+    a list that `_block_backward` empties (see Memory, above)."""
     key = lambda name: params[block_key(layer, name)]
     rows = 1 if layer == cfg.layers - 1 else cfg.max_len
     if op is None:
@@ -347,38 +359,62 @@ def _block_forward(params, cfg, layer, x, rng, training, op=None):
     # dropout returns a fresh array or `filtered` itself, which nothing
     # else reads, so the residual is added in place
     res1, mask1 = dropout(filtered, cfg.dropout, rng, training)
+    del filtered
     res1 += x[:, -rows:]
+    shape = res1.shape
     f2d, ln1_cache = layer_norm(res1.reshape(-1, cfg.dim), key("ln1_g"), key("ln1_b"))
+    del res1
     act, act_cache = gelu(affine(f2d, key("w1"), key("b1")))
     h2 = affine(act, key("w2"), key("b2"))
+    del act
     # dropout returns h2 itself or a fresh array: both are this block's own
     res2, mask2 = dropout(h2, cfg.dropout, rng, training)
+    del h2
     res2 += f2d
+    del f2d
     out2d, ln2_cache = layer_norm(res2, key("ln2_g"), key("ln2_b"))
-    cache = (op, x, mask1, ln1_cache, f2d, act, act_cache, mask2, ln2_cache)
-    return out2d.reshape(res1.shape), cache
+    return out2d.reshape(shape), [op, x, mask1, ln1_cache, act_cache, mask2, ln2_cache]
 
 
-def _block_backward(params, cfg, layer, cache, dy):
+def _block_backward(params, cfg, layer, cache, dy, own_dy=False):
     """Gradient of the block's input, and of its groups keyed as in `params`,
-    the filter's as its operator's: dG = Σ_batch dy xᵀ, keyed `block{l}_op`."""
-    op, x, mask1, ln1_cache, f2d, act, act_cache, mask2, ln2_cache = cache
+    the filter's as its operator's: dG = Σ_batch dy xᵀ, keyed `block{l}_op`.
+
+    Consumes the block's cache list, releasing each buffer after its last
+    read.  With `own_dy`, the caller hands `dy` over and the second layer
+    norm's dx is written into it; otherwise `dy` is only read."""
+    op, x, mask1, ln1_cache, act_cache, mask2, ln2_cache = cache
+    cache.clear()
     key = lambda name: params[block_key(layer, name)]
     g = {}
 
-    d_res2, g["ln2_g"], g["ln2_b"] = layer_norm_backward(ln2_cache, dy.reshape(-1, cfg.dim))
+    dy = dy.reshape(-1, cfg.dim)
+    d_res2, g["ln2_g"], g["ln2_b"] = layer_norm_backward(ln2_cache, dy, dy if own_dy else None)
+    del ln2_cache
     d_h2 = dropout_backward(mask2, d_res2)
-    d_act, g["w2"], g["b2"] = affine_backward(act, key("w2"), d_h2)
+    h1, cdf = act_cache
+    # affine_backward in two steps, so gelu's output, rebuilt as gelu
+    # built it, is freed before d_act is allocated
+    g["w2"] = (h1 * cdf).T @ d_h2
+    d_act, g["b2"] = d_h2 @ key("w2").T, d_h2.sum(axis=0)
+    del d_h2, h1, cdf
     d_h1 = gelu_backward(act_cache, d_act)
-    del d_act  # freed here, not at the return: a step's peak memory comes later
+    del act_cache, d_act
+    # the first layer norm's output, rebuilt as layer_norm built it
+    f2d = ln1_cache[0] * key("ln1_g")
+    f2d += key("ln1_b")
     d_f, g["w1"], g["b1"] = affine_backward(f2d, key("w1"), d_h1)
+    del f2d, d_h1
     d_f += d_res2
+    del d_res2
 
-    d_res1, g["ln1_g"], g["ln1_b"] = layer_norm_backward(ln1_cache, d_f)
+    d_res1, g["ln1_g"], g["ln1_b"] = layer_norm_backward(ln1_cache, d_f, d_f)
+    del ln1_cache
     d_res1 = d_res1.reshape(len(x), len(op), cfg.dim)
     d_filtered = dropout_backward(mask1, d_res1)
     g["op"] = np.zeros((cfg.max_len, cfg.max_len))
     g["op"][-len(op):] = np.matmul(d_filtered, x.transpose(0, 2, 1)).sum(axis=0)
+    del x
     dx = np.matmul(op.T, d_filtered)
     dx[:, -len(op):] += d_res1
     return dx, {block_key(layer, name): grad for name, grad in g.items()}
@@ -404,11 +440,14 @@ def _forward(params, cfg, ids, rng, training, frozen_ops):
 def model_backward(params, cfg, cache, dx, d_emb):
     """Gradients, keyed as in `params`, of a scalar whose gradient with
     respect to `model_forward`'s (B, D) output is `dx`; the encoder's rows
-    of the table's gradient are added into `d_emb`, the tied head's."""
+    of the table's gradient are added into `d_emb`, the tied head's.
+    Consumes `cache`, whose block list it empties; `dx` is only read."""
     emb_cache, block_caches = cache
     grads = {}
     for layer in reversed(range(cfg.layers)):
-        dx, block_grads = _block_backward(params, cfg, layer, block_caches[layer], dx)
+        # every dx below the top block's is a block backward's own
+        own = layer < cfg.layers - 1
+        dx, block_grads = _block_backward(params, cfg, layer, block_caches.pop(), dx, own)
         grads.update(block_grads)
     grads.update(_embed_backward(cfg, emb_cache, dx, d_emb))
     return grads

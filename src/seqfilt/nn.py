@@ -12,6 +12,11 @@ results are built in place in the buffers they own, and a dropout mask
 is the pair (keep, scale) of a boolean array and the one scale 1/(1-p)
 instead of a float array.  Dropout draws one float64 uniform per element.
 
+What a backward consumes.  Backward kernels only read their `dy`;
+`layer_norm_backward` writes its dx into `dy` only when the caller hands
+`dy` over as `out`.  It consumes its cache, building its shift in the
+cached x_hat; the GELU and dropout backwards leave their caches as they are.
+
 Threads.  The encoder and the head treat each example of a batch apart,
 so a batch is what gets shared out, not a kernel: `batch_chunks` cuts a
 batch whose activations hold at least 2^17 elements into chunks of 64
@@ -265,20 +270,26 @@ def layer_norm(x, gamma, beta):
     return y, (x_hat, inv_std, gamma)
 
 
-def layer_norm_backward(cache, dy):
+def layer_norm_backward(cache, dy, out=None):
     """dx = inv_std * (dy*gamma - mean(dy*gamma) - x_hat * mean(dy*gamma*x_hat)),
-    with the row means and column sums as BLAS products; dy * x_hat is
-    kept, since its column sums are dgamma."""
+    with the row means and column sums as BLAS products.
+
+    Consumes the cache: the shift is built in its x_hat.  dx is written
+    into `out`, which may be `dy` itself when the caller no longer reads
+    it, or else into the buffer of dy * x_hat, once its column sums (dgamma)
+    and row means are taken; `dy` is only read."""
     x_hat, inv_std, gamma = cache
     gamma_mean = gamma / x_hat.shape[1]
+    ones = np.ones(len(dy))
     scratch = dy * x_hat
-    shift = np.multiply(x_hat, (scratch @ gamma_mean)[:, None])
+    d_gamma = ones @ scratch
+    shift = np.multiply(x_hat, (scratch @ gamma_mean)[:, None], out=x_hat)
     shift += (dy @ gamma_mean)[:, None]
-    dx = dy * gamma
+    d_beta = ones @ dy
+    dx = np.multiply(dy, gamma, out=scratch if out is None else out)
     dx -= shift
     dx *= inv_std
-    ones = np.ones(len(dy))
-    return dx, ones @ scratch, ones @ dy
+    return dx, d_gamma, d_beta
 
 
 def gelu(x):

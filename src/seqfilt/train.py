@@ -111,7 +111,9 @@ def loss_and_grads(params, cfg: ModelConfig, ids, targets, alpha, rng=None):
         share = len(x_last) / len(ids)
         d_logits *= share
         d_emb = d_logits.T @ x_last
-        parts[i] = ce * share, model_backward(params, cfg, cache, d_logits @ params["emb"], d_emb)
+        dx = d_logits @ params["emb"]
+        del d_logits  # (chunk, V+1): freed before the backward's peak
+        parts[i] = ce * share, model_backward(params, cfg, cache, dx, d_emb)
 
     run_chunks(job, len(chunks))
     ce, grads = parts[0]

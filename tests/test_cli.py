@@ -13,6 +13,7 @@ from seqfilt import evaluation as ev
 from seqfilt import nn
 from seqfilt import spectral as sp
 from seqfilt import train as tr
+from seqfilt.data import load_corpus, split_loo
 from seqfilt.model import (
     CheckpointError,
     ModelConfig,
@@ -232,6 +233,25 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err, err
         assert "(batch 0, row 0): target score is not finite" in err
+        assert not (out / "report_test.csv").exists()
+
+    def test_nan_item_score_is_numeric_error(self, tmp_path, corpus_file, run_dir, capsys):
+        # one item's NaN embedding makes its score NaN for every user whose
+        # history lacks it; it used to drop out of their rankings unreported
+        params, cfg, meta = load_checkpoint(run_dir / "checkpoint.bin")
+        split = split_loo(load_corpus(corpus_file, min_interactions=3))
+        first = {*split.prefixes[0], split.valid_targets[0], split.test_targets[0]}
+        item = min(set(range(1, cfg.num_items + 1)) - first)
+        params["emb"][item] = np.nan
+        save_checkpoint(tmp_path / "nan_item.bin", params, cfg, meta=meta)
+        out = tmp_path / "eval"
+        code = cli.main(
+            ["eval", "--checkpoint", str(tmp_path / "nan_item.bin"), "--data", str(corpus_file), "--out", str(out)]
+        )
+        assert code == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert f"(batch 0, row 0): score of item {item} is NaN" in err
         assert not (out / "report_test.csv").exists()
 
     def test_fresh_random_checkpoint_near_uniform(self, tmp_path):

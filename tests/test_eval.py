@@ -173,8 +173,15 @@ class TestBatchedRanks:
     def test_non_finite_target_score_ranks_zero(self):
         scores = np.array([[0.0, 1.0, 2.0], [0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [0.0, 1.0, np.nan]])
         targets = np.array([1, 1, 2, 1])
-        # a NaN elsewhere in the row is not counted, as in rank_of_target
-        assert ev._batched_ranks(scores, targets).tolist() == [2, 0, 0, 1]
+        # a NaN elsewhere in the row, which rank_of_target skips, gets
+        # minus its item's id
+        assert ev._batched_ranks(scores, targets).tolist() == [2, 0, 0, -2]
+
+    def test_nan_in_excluded_columns_is_not_reported(self):
+        scores = np.array([[np.nan, 1.0, 2.0, np.nan], [0.0, np.nan, 2.0, 3.0]])
+        # padding column 0 and the seen item 3 of row 0; row 1's target is NaN
+        seen = np.array([3])
+        assert ev._batched_ranks(scores, np.array([2, 1]), seen).tolist() == [1, 0]
 
 
 class TestEvaluate:
@@ -302,14 +309,29 @@ class TestEvaluate:
                 ranks.extend(oracle_ranks(scores, targets, contexts))
             assert reports[0] == ev.aggregate_ranks(ranks, "test", 0, seen).to_csv()
 
+    SEQS = [[1, 2, 3, 4], [2, 3, 4, 5], [3, 4, 5, 6], [4, 5, 6, 1], [5, 6, 1, 2], [6, 1, 2, 7], [1, 3, 5]]
+
     def test_non_finite_target_score_is_numeric_error(self, rng):
-        # item 7 is only user 5's test target, so a NaN embedding for it
-        # makes column 7 NaN and leaves every other target score finite
-        seqs = [[1, 2, 3, 4], [2, 3, 4, 5], [3, 4, 5, 6], [4, 5, 6, 1], [5, 6, 1, 2], [6, 1, 2, 7], [1, 3, 5]]
-        split = split_loo(Corpus(list(range(10, 17)), seqs, 7))
+        # item 7 is only user 15's test target and in no context, so an
+        # infinite first embedding entry makes column 7 ±inf, not NaN, and
+        # leaves every other target score finite
+        split = split_loo(Corpus(list(range(10, 17)), self.SEQS, 7))
+        cfg = ModelConfig(num_items=7, max_len=4, dim=4, layers=1, num_bases=2)
+        params = init_params(cfg, rng)
+        params["emb"][7] = [np.inf, 0.0, 0.0, 0.0]
+        with pytest.raises(NumericError) as info:
+            ev.evaluate(split, params, cfg, batch_size=4)
+        assert str(info.value) == "user 15 (batch 1, row 1): target score is not finite"
+
+    @pytest.mark.parametrize("filter_seen", [False, True])
+    def test_nan_item_score_is_numeric_error(self, rng, filter_seen):
+        # a NaN embedding for item 7 makes column 7 NaN for every user; no
+        # comparison counts it, so it used to leave the ranking unreported
+        # for the six users whose target is not 7
+        split = split_loo(Corpus(list(range(10, 17)), self.SEQS, 7))
         cfg = ModelConfig(num_items=7, max_len=4, dim=4, layers=1, num_bases=2)
         params = init_params(cfg, rng)
         params["emb"][7] = np.nan
         with pytest.raises(NumericError) as info:
-            ev.evaluate(split, params, cfg, batch_size=4)
-        assert str(info.value) == "user 15 (batch 1, row 1): target score is not finite"
+            ev.evaluate(split, params, cfg, batch_size=4, filter_seen=filter_seen)
+        assert str(info.value) == "user 10 (batch 0, row 0): score of item 7 is NaN"

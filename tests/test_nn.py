@@ -155,6 +155,36 @@ class TestDropout:
             nn.dropout(np.ones((2, 2)), 1.0, rng)
 
 
+# each backward kernel that takes a `dy`, with a forward making its cache
+BACKWARDS = {
+    "layer_norm": (lambda x: nn.layer_norm(x, np.linspace(0.5, 2.0, 5), np.ones(5))[1], nn.layer_norm_backward),
+    "gelu": (lambda x: nn.gelu(x)[1], nn.gelu_backward),
+    "dropout": (lambda x: nn.dropout(x, 0.3, np.random.default_rng(4))[1], nn.dropout_backward),
+}
+
+
+class TestBackwardContract:
+    @pytest.mark.parametrize("name", sorted(BACKWARDS))
+    def test_dy_is_left_unchanged(self, name, rng):
+        # a caller may read dy again, as the gradient checks above do
+        forward, backward = BACKWARDS[name]
+        dy = rng.normal(size=(6, 5))
+        before = dy.copy()
+        dx = backward(forward(rng.normal(size=(6, 5))), dy)
+        dx = dx[0] if isinstance(dx, tuple) else dx
+        assert np.array_equal(dy, before)
+        assert not np.shares_memory(dx, dy)
+
+    def test_layer_norm_dx_into_dy_is_the_same_bits(self, rng):
+        x, dy = rng.normal(size=(6, 5)), rng.normal(size=(6, 5))
+        forward = BACKWARDS["layer_norm"][0]
+        want = nn.layer_norm_backward(forward(x), dy)
+        got = nn.layer_norm_backward(forward(x), dy, out=dy)
+        assert got[0] is dy
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
 class TestSoftmaxXent:
     def test_uniform_logits(self):
         loss, _ = softmax_xent(np.zeros(20), target=3)

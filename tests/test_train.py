@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,28 @@ class TestLossAndGrads:
         assert len(nn.batch_chunks(300, 50 * 64)) == 5
         loss_and_grads(params, cfg, ids, rng.integers(1, 61, size=300), 0.0, rng=rng)
         assert calls == {"build_tap_matrix": cfg.layers, "build_tap_matrix_backward": cfg.layers}
+
+    def test_chunked_step_memory_high_water(self, monkeypatch):
+        """A chunk keeps only what its backward reads and frees each
+        buffer after its last read: on one thread, a step of four 64-row
+        chunks peaks at ≤14 chunk activations (64·N·D float64 each), where
+        keeping every forward buffer to the end of the block took ~18."""
+        monkeypatch.setattr(nn, "_WORKERS", 1)
+        rng = np.random.default_rng(33)
+        cfg = ModelConfig(num_items=700, max_len=50, dim=64, layers=2, dropout=0.2)
+        params = init_params(cfg, rng)
+        ids = rng.integers(0, 701, size=(256, 50))
+        targets = rng.integers(1, 701, size=256)
+        assert len(nn.batch_chunks(256, 50 * 64)) == 4
+        loss_and_grads(params, cfg, ids, targets, 1e-3, rng=rng)  # one-time allocations
+        tracemalloc.start()
+        try:
+            loss_and_grads(params, cfg, ids, targets, 1e-3, rng=rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk_array = 64 * cfg.max_len * cfg.dim * 8
+        assert peak <= 14 * chunk_array, f"peak {peak / chunk_array:.2f} chunk arrays"
 
 
 class TestMakeSynthetic:
