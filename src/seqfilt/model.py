@@ -32,9 +32,9 @@ GELU input and Φ.  The FFN input and the GELU output are rebuilt in the
 backward by the same ops in the same order, so the bits do not change.
 `model_backward` consumes the cache: it pops each block's cache list,
 `_block_backward` empties it and releases every buffer after its last
-read, the layer-norm backwards build their shift in their x̂, and a dy
-that a block backward made is handed to the next block below as the
-buffer for its second layer norm's dx.
+read, the layer-norm backwards build their shift in their x̂, and each
+block's second layer norm writes its dx into the block's `dy`, so
+`model_backward` consumes its `dx` too.
 """
 
 from __future__ import annotations
@@ -376,27 +376,25 @@ def _block_forward(params, cfg, layer, x, rng, training, op=None):
     return out2d.reshape(shape), [op, x, mask1, ln1_cache, act_cache, mask2, ln2_cache]
 
 
-def _block_backward(params, cfg, layer, cache, dy, own_dy=False):
+def _block_backward(params, cfg, layer, cache, dy):
     """Gradient of the block's input, and of its groups keyed as in `params`,
     the filter's as its operator's: dG = Σ_batch dy xᵀ, keyed `block{l}_op`.
 
     Consumes the block's cache list, releasing each buffer after its last
-    read.  With `own_dy`, the caller hands `dy` over and the second layer
-    norm's dx is written into it; otherwise `dy` is only read."""
+    read, and `dy`, into which the second layer norm's dx is written."""
     op, x, mask1, ln1_cache, act_cache, mask2, ln2_cache = cache
     cache.clear()
     key = lambda name: params[block_key(layer, name)]
     g = {}
 
     dy = dy.reshape(-1, cfg.dim)
-    d_res2, g["ln2_g"], g["ln2_b"] = layer_norm_backward(ln2_cache, dy, dy if own_dy else None)
+    d_res2, g["ln2_g"], g["ln2_b"] = layer_norm_backward(ln2_cache, dy, dy)
     del ln2_cache
     d_h2 = dropout_backward(mask2, d_res2)
     h1, cdf = act_cache
-    # affine_backward in two steps, so gelu's output, rebuilt as gelu
-    # built it, is freed before d_act is allocated
-    g["w2"] = (h1 * cdf).T @ d_h2
-    d_act, g["b2"] = d_h2 @ key("w2").T, d_h2.sum(axis=0)
+    # gelu's output, rebuilt as gelu built it; a temporary, so
+    # affine_backward frees it before d_act is allocated
+    d_act, g["w2"], g["b2"] = affine_backward(h1 * cdf, key("w2"), d_h2)
     del d_h2, h1, cdf
     d_h1 = gelu_backward(act_cache, d_act)
     del act_cache, d_act
@@ -441,13 +439,12 @@ def model_backward(params, cfg, cache, dx, d_emb):
     """Gradients, keyed as in `params`, of a scalar whose gradient with
     respect to `model_forward`'s (B, D) output is `dx`; the encoder's rows
     of the table's gradient are added into `d_emb`, the tied head's.
-    Consumes `cache`, whose block list it empties; `dx` is only read."""
+    Consumes `cache`, whose block list it empties, and `dx`, which the top
+    block's backward overwrites."""
     emb_cache, block_caches = cache
     grads = {}
     for layer in reversed(range(cfg.layers)):
-        # every dx below the top block's is a block backward's own
-        own = layer < cfg.layers - 1
-        dx, block_grads = _block_backward(params, cfg, layer, block_caches.pop(), dx, own)
+        dx, block_grads = _block_backward(params, cfg, layer, block_caches.pop(), dx)
         grads.update(block_grads)
     grads.update(_embed_backward(cfg, emb_cache, dx, d_emb))
     return grads

@@ -323,8 +323,13 @@ def affine(x, w, b):
 
 
 def affine_backward(x, w, dy):
-    """Gradients (dx, dw, db) of y = x @ w + b."""
+    """Gradients (dx, dw, db) of y = x @ w + b.
+
+    x is dropped before dx is allocated, so an x that the caller passed
+    as a temporary is freed first (CPython 3.11+ hands a call its
+    arguments)."""
     dw = x.T @ dy
+    del x
     return dy @ w.T, dw, dy.sum(axis=0)
 
 
