@@ -16,9 +16,19 @@ Training, validation and frozen inference all run G; only live
 transforms from `spectral`, the reference G is checked and timed
 against.  The signal is real, so only Re(H) reaches the output:
 `basis_im` acts only through the basis row norms and the orthogonality
-penalty.  Every example is encoded apart, so `predict_scores_batch`
-scores a batch that `nn.batch_chunks` splits chunk by chunk on the pool
-of `seqfilt.nn`, with the same bits on one thread as on two.
+penalty.
+
+The embedding layer norm of an id depends only on the weights, so
+`freeze_filters` also norms the whole (V+1) x D table once, and the
+forward of a frozen prediction (`predict_scores_batch` with frozen
+operators, and so `evaluate`) gathers its block-0 input from that table.
+Training and live prediction norm the rows of the batch's distinct ids
+(`_embed_forward`): the backward reads that per-id cache, and the live
+path is the reference the frozen one is checked against.
+
+Every example is encoded apart, so `predict_scores_batch` scores a batch
+that `nn.batch_chunks` splits chunk by chunk on the pool of `seqfilt.nn`,
+with the same bits on one thread as on two.
 
 Parameters live in a flat dict of float64 arrays so the optimizer and the
 gradient checks can treat every group uniformly.  Forward passes return
@@ -34,7 +44,8 @@ backward by the same ops in the same order, so the bits do not change.
 `_block_backward` empties it and releases every buffer after its last
 read, the layer-norm backwards build their shift in their x̂, and each
 block's second layer norm writes its dx into the block's `dy`, so
-`model_backward` consumes its `dx` too.
+`model_backward` consumes its `dx` too.  A pass that is not training
+keeps no cache: each block's is dropped as soon as the block returns.
 """
 
 from __future__ import annotations
@@ -420,19 +431,28 @@ def _block_backward(params, cfg, layer, cache, dy):
 
 def model_forward(params, cfg, ids, rng=None, training=False, frozen_ops=None):
     """Run embedding plus all blocks; returns the (B, D) representation of
-    the final position, and the cache `model_backward` reads."""
+    the final position, and the cache `model_backward` reads, which only a
+    training pass keeps (None otherwise)."""
     return _forward(params, cfg, _check_ids(cfg, ids), rng, training, frozen_ops)
 
 
 def _forward(params, cfg, ids, rng, training, frozen_ops):
-    """`model_forward` on ids already checked."""
-    x, emb_cache = _embed_forward(params, cfg, ids, rng, training)
+    """`model_forward` on ids already checked.  Out of training, a frozen
+    model's normed table is gathered instead of running the embedding
+    layer, and each block's cache is dropped as soon as it returns."""
+    table = None if training else getattr(frozen_ops, "table", None)
+    if table is None:
+        x, emb_cache = _embed_forward(params, cfg, ids, rng, training)
+    else:
+        x, emb_cache = table[ids], None
     block_caches = []
     for layer in range(cfg.layers):
         op = None if frozen_ops is None else frozen_ops[layer]
         x, cache = _block_forward(params, cfg, layer, x, rng, training, op)
-        block_caches.append(cache)
-    return x[:, -1], (emb_cache, block_caches)
+        if training:
+            block_caches.append(cache)
+        del cache
+    return x[:, -1], ((emb_cache, block_caches) if training else None)
 
 
 def model_backward(params, cfg, cache, dx, d_emb):
@@ -487,9 +507,23 @@ def predict_scores(params, cfg, context, frozen_ops=None):
     return predict_scores_batch(params, cfg, ids, frozen_ops=frozen_ops)[0]
 
 
+class _Frozen(list):
+    """Every layer's operator G, in layer order, and `table`: the layer
+    norm of the whole embedding table, so that a prediction gathers its
+    block-0 input instead of norming its ids' rows on every call."""
+
+
 def freeze_filters(params, cfg) -> list:
-    """Collapse each layer's trained filter into its real N x N operator G."""
-    return filter_operators(params, cfg)[0]
+    """Collapse each layer's trained filter into its real N x N operator G,
+    and layer-norm the embedding table once, for the prediction forward.
+
+    Rows that no prediction gathers are normed too; a non-finite one norms
+    to NaN without a warning, and reaches a score only if it is gathered,
+    where `evaluate` reports it."""
+    frozen = _Frozen(filter_operators(params, cfg)[0])
+    with np.errstate(invalid="ignore", over="ignore"):
+        frozen.table = layer_norm(params["emb"], params["emb_ln_g"], params["emb_ln_b"])[0]
+    return frozen
 
 
 def count_params(params) -> int:

@@ -12,6 +12,7 @@ batch and the first non-finite parameter group."""
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -95,15 +96,16 @@ def loss_and_grads(params, cfg: ModelConfig, ids, targets, alpha, rng=None):
     each chunk runs the forward pass on the batch's filter operators, the
     head, the softmax and the backward pass, with its CE and logit gradient
     scaled by its share of the batch and a dropout generator of its own,
-    seeded from `rng`; a one-chunk batch draws from `rng` itself.  The
-    gradients sum in chunk order; the filter backward and penalty run once."""
+    seeded from `rng`; a one-chunk batch draws from `rng` itself.  Each
+    chunk's gradients are added into the step's as soon as every earlier
+    chunk's are, in chunk order; the filter backward and penalty run once."""
     ids, targets = np.asarray(ids), np.asarray(targets)
     chunks = batch_chunks(len(ids), cfg.max_len * cfg.dim)
     rngs = [rng] * len(chunks)
     if rng is not None and len(chunks) > 1:
         rngs = [np.random.default_rng(seed) for seed in rng.integers(1 << 63, size=len(chunks))]
     ops, tap_caches = filter_operators(params, cfg)
-    parts = [None] * len(chunks)
+    total = _ChunkSum()
 
     def job(i):
         x_last, cache = model_forward(params, cfg, ids[chunks[i]], rngs[i], training=True, frozen_ops=ops)
@@ -113,14 +115,10 @@ def loss_and_grads(params, cfg: ModelConfig, ids, targets, alpha, rng=None):
         d_emb = d_logits.T @ x_last
         dx = d_logits @ params["emb"]
         del d_logits  # (chunk, V+1): freed before the backward's peak
-        parts[i] = ce * share, model_backward(params, cfg, cache, dx, d_emb)
+        total.add(i, ce * share, model_backward(params, cfg, cache, dx, d_emb))
 
     run_chunks(job, len(chunks))
-    ce, grads = parts[0]
-    for part_ce, part_grads in parts[1:]:
-        ce += part_ce
-        for key, grad in part_grads.items():
-            grads[key] += grad
+    ce, grads = total.ce, total.grads
     filter_backward(cfg, tap_caches, grads)
 
     ortho_total = 0.0
@@ -139,6 +137,32 @@ def loss_and_grads(params, cfg: ModelConfig, ids, targets, alpha, rng=None):
             + _first_non_finite(params, grads)
         )
     return loss, ce, ortho_total, grads
+
+
+class _ChunkSum:
+    """The CE and gradients of a step's chunks, summed in chunk order as
+    they arrive: a chunk that finishes before an earlier one waits until
+    that one is in, so the sum is the same bits on one thread as on two,
+    and each chunk's (V+1, D) table gradient is freed once added."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.waiting = {}  # chunk -> (ce, grads), finished out of turn
+        self.summed = 0  # chunks 0..summed-1 are in ce and grads
+        self.ce = self.grads = None
+
+    def add(self, i, ce, grads):
+        with self.lock:
+            self.waiting[i] = ce, grads
+            while self.summed in self.waiting:
+                ce, grads = self.waiting.pop(self.summed)
+                if self.summed == 0:
+                    self.ce, self.grads = ce, grads
+                else:
+                    self.ce += ce
+                    for key, grad in grads.items():
+                        self.grads[key] += grad
+                self.summed += 1
 
 
 def _first_non_finite(params, grads):

@@ -254,6 +254,23 @@ class TestEval:
         assert f"(batch 0, row 0): score of item {item} is NaN" in err
         assert not (out / "report_test.csv").exists()
 
+    def test_non_finite_context_row_is_numeric_error(self, tmp_path, corpus_file, run_dir, capsys):
+        # an infinite embedding row in the first user's context: the
+        # frozen table holds its layer norm as NaN, and the user's scores
+        params, cfg, meta = load_checkpoint(run_dir / "checkpoint.bin")
+        split = split_loo(load_corpus(corpus_file, min_interactions=3))
+        params["emb"][split.valid_targets[0], 0] = np.inf
+        save_checkpoint(tmp_path / "inf_row.bin", params, cfg, meta=meta)
+        out = tmp_path / "eval"
+        code = cli.main(
+            ["eval", "--checkpoint", str(tmp_path / "inf_row.bin"), "--data", str(corpus_file), "--out", str(out)]
+        )
+        assert code == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert "(batch 0, row 0): target score is not finite" in err
+        assert not (out / "report_test.csv").exists()
+
     def test_fresh_random_checkpoint_near_uniform(self, tmp_path):
         rng = np.random.default_rng(5)
         corpus = make_synthetic(500, 50, 6, rng)

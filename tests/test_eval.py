@@ -335,3 +335,15 @@ class TestEvaluate:
         with pytest.raises(NumericError) as info:
             ev.evaluate(split, params, cfg, batch_size=4, filter_seen=filter_seen)
         assert str(info.value) == "user 10 (batch 0, row 0): score of item 7 is NaN"
+
+    def test_non_finite_context_row_is_numeric_error(self, rng):
+        # the frozen table norms item 3's infinite row to NaN, and user
+        # 10's context [1, 2, 3] gathers it, so all of that user's scores
+        # are NaN; rows no context gathers are normed too, without a warning
+        split = split_loo(Corpus(list(range(10, 17)), self.SEQS, 7))
+        cfg = ModelConfig(num_items=7, max_len=4, dim=4, layers=1, num_bases=2)
+        params = init_params(cfg, rng)
+        params["emb"][3] = [np.inf, 0.0, 0.0, 0.0]
+        with pytest.raises(NumericError) as info:
+            ev.evaluate(split, params, cfg, batch_size=4)
+        assert str(info.value) == "user 10 (batch 0, row 0): target score is not finite"

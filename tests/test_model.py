@@ -1,6 +1,8 @@
 """Encoder-level tests: filter construction, causality through the stack,
 frozen-operator equivalence, parameter counting, checkpoint round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -213,16 +215,17 @@ class TestEncoder:
     def test_causal_mode_blocks_leakage(self, rng):
         # every block but the last outputs all positions: check each of
         # them through its filter output, recomputed from the block's
-        # cached input, and through the next block's input
+        # cached input, and through the next block's input.  Only a
+        # training pass keeps the caches; at dropout 0 it is the eval pass.
         cfg = tiny_config(layers=3, num_bases=3)
         params = mdl.init_params(cfg, rng)
         ids = rng.integers(1, 21, size=(1, 8))
         ops = [mdl._tap_operator(cfg, mdl.layer_taps(params, blk)[0]) for blk in range(cfg.layers - 1)]
-        _, (_, base_blocks) = mdl.model_forward(params, cfg, ids, training=False)
+        _, (_, base_blocks) = mdl.model_forward(params, cfg, ids, training=True)
         for j in (2, 5, 7):
             bumped = ids.copy()
             bumped[0, j] = (ids[0, j] % 20) + 1
-            _, (_, blocks) = mdl.model_forward(params, cfg, bumped, training=False)
+            _, (_, blocks) = mdl.model_forward(params, cfg, bumped, training=True)
             for blk in range(cfg.layers - 1):
                 filt_base, filt_new = (ops[blk] @ b[blk][1] for b in (base_blocks, blocks))
                 assert np.abs(filt_new[0, :j] - filt_base[0, :j]).max() <= 1e-12
@@ -388,13 +391,55 @@ class TestFreeze:
 
     @pytest.mark.parametrize("mode", ["causal", "circular"])
     def test_frozen_scores_match_unfrozen(self, mode, rng):
-        cfg = tiny_config(layers=2, filter_mode=mode)
+        # the frozen path gathers from the table normed at freeze time,
+        # the live one norms its ids' rows; rows are left-padded with id 0
+        for layers in (1, 2, 3):
+            cfg = tiny_config(layers=layers, filter_mode=mode)
+            params = mdl.init_params(cfg, rng)
+            params["emb"] = rng.normal(size=params["emb"].shape)
+            ops = mdl.freeze_filters(params, cfg)
+            ids = rng.integers(1, 21, size=(32, 8))
+            ids[np.arange(8) < (np.arange(32) % 9)[:, None]] = 0  # 0 to 8 pads a row
+            plain = mdl.predict_scores_batch(params, cfg, ids)
+            frozen = mdl.predict_scores_batch(params, cfg, ids, frozen_ops=ops)
+            assert np.abs(plain - frozen).max() <= 1e-10, layers
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_frozen_iterates_as_the_causal_operators(self, layers, rng):
+        # what perfbench's frozen check and `seqfilt bench` read: L real
+        # N x N arrays, zero above the diagonal, and nothing else
+        cfg = tiny_config(layers=layers)
         params = mdl.init_params(cfg, rng)
         ops = mdl.freeze_filters(params, cfg)
-        ids = rng.integers(0, 21, size=(32, 8))
-        plain = mdl.predict_scores_batch(params, cfg, ids)
-        frozen = mdl.predict_scores_batch(params, cfg, ids, frozen_ops=ops)
-        assert np.abs(plain - frozen).max() <= 1e-10
+        assert len(list(ops)) == layers
+        want = mdl.filter_operators(params, cfg)[0]
+        for op, expected in zip(ops, want):
+            assert isinstance(op, np.ndarray) and op.dtype == np.float64
+            assert op.shape == (cfg.max_len, cfg.max_len)
+            assert np.array_equal(np.triu(op, 1), np.zeros_like(op))
+            assert np.array_equal(op, expected)
+
+    def test_prediction_keeps_no_block_cache(self, monkeypatch):
+        """Prediction runs no backward, so no block's cache outlives the
+        block: on one thread, a B=64 prediction at L=3 peaks at ≤9 chunk
+        activations (64·N·D float64 each), where keeping the caches of
+        every block took ~12.5."""
+        monkeypatch.setattr(nn, "_WORKERS", 1)
+        rng = np.random.default_rng(34)
+        cfg = mdl.ModelConfig(num_items=700, max_len=50, dim=64, layers=3, dropout=0.2)
+        params = mdl.init_params(cfg, rng)
+        ops = mdl.freeze_filters(params, cfg)
+        ids = rng.integers(0, 701, size=(64, 50))
+        assert len(nn.batch_chunks(64, 50 * 64)) == 1
+        chunk_array = 64 * cfg.max_len * cfg.dim * 8
+        mdl.predict_scores_batch(params, cfg, ids, frozen_ops=ops)  # one-time allocations
+        tracemalloc.start()
+        try:
+            mdl.predict_scores_batch(params, cfg, ids, frozen_ops=ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * chunk_array, f"peak {peak / chunk_array:.2f} chunk arrays"
 
 
 class TestParamCount:

@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -166,6 +167,61 @@ class TestLossAndGrads:
             tracemalloc.stop()
         chunk_array = 64 * cfg.max_len * cfg.dim * 8
         assert peak <= 14 * chunk_array, f"peak {peak / chunk_array:.2f} chunk arrays"
+
+
+    def test_chunk_gradients_are_summed_as_they_arrive(self, monkeypatch):
+        """Each chunk's gradients are added into the step's once the earlier
+        chunks' are in: on one thread, a step of four 64-row chunks at
+        V=12k peaks at ≤6 (V+1)·D tables, where keeping every chunk's
+        table gradient to the end of the step took ~7.1."""
+        monkeypatch.setattr(nn, "_WORKERS", 1)
+        rng = np.random.default_rng(35)
+        cfg = ModelConfig(num_items=12000, max_len=50, dim=64, layers=2, dropout=0.2)
+        params = init_params(cfg, rng)
+        ids = rng.integers(0, 12001, size=(256, 50))
+        targets = rng.integers(1, 12001, size=256)
+        assert len(nn.batch_chunks(256, 50 * 64)) == 4
+        loss_and_grads(params, cfg, ids, targets, 1e-3, rng=rng)  # one-time allocations
+        tracemalloc.start()
+        try:
+            loss_and_grads(params, cfg, ids, targets, 1e-3, rng=rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = params["emb"].nbytes
+        assert peak <= 6 * table, f"peak {peak / table:.2f} tables"
+
+    def test_chunk_sum_keeps_chunk_order_across_threads(self):
+        """Chunks handed in out of order by more threads than cores, with
+        thread switches forced often, sum to the bits of the in-order loop;
+        their magnitudes differ, so another order would round otherwise."""
+        rng = np.random.default_rng(36)
+        count = 24
+        parts = [
+            (float(rng.normal()) * 10.0 ** i, {"w": rng.normal(size=(40, 8)) * 10.0 ** (i % 7 - 3)})
+            for i in range(count)
+        ]
+        ce, w = parts[0][0], parts[0][1]["w"].copy()
+        for part_ce, part in parts[1:]:
+            ce += part_ce
+            w += part["w"]
+        total = tr._ChunkSum()
+        threads = [
+            threading.Thread(target=total.add, args=(i, parts[i][0], {"w": parts[i][1]["w"].copy()}))
+            for i in rng.permutation(count)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert total.summed == count and not total.waiting
+        assert total.ce == ce and np.array_equal(total.grads["w"], w)
 
 
 class TestMakeSynthetic:
