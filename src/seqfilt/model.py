@@ -432,7 +432,11 @@ def _block_backward(params, cfg, layer, cache, dy):
 def model_forward(params, cfg, ids, rng=None, training=False, frozen_ops=None):
     """Run embedding plus all blocks; returns the (B, D) representation of
     the final position, and the cache `model_backward` reads, which only a
-    training pass keeps (None otherwise)."""
+    training pass keeps (None otherwise).  A training pass needs the
+    layers' operators from `filter_operators` as `frozen_ops`, since the
+    live filter has no backward."""
+    if training and frozen_ops is None:
+        raise ValueError("a training pass needs frozen_ops=filter_operators(params, cfg)[0]")
     return _forward(params, cfg, _check_ids(cfg, ids), rng, training, frozen_ops)
 
 
@@ -456,11 +460,13 @@ def _forward(params, cfg, ids, rng, training, frozen_ops):
 
 
 def model_backward(params, cfg, cache, dx, d_emb):
-    """Gradients, keyed as in `params`, of a scalar whose gradient with
-    respect to `model_forward`'s (B, D) output is `dx`; the encoder's rows
-    of the table's gradient are added into `d_emb`, the tied head's.
-    Consumes `cache`, whose block list it empties, and `dx`, which the top
-    block's backward overwrites."""
+    """Gradients of a scalar whose gradient with respect to
+    `model_forward`'s (B, D) output is `dx`.  They are keyed as in
+    `params`, except that each layer's filter comes back as its operator's
+    gradient, keyed `block{l}_op`, for `filter_backward` to swap for the
+    tap groups'.  The encoder's rows of the table's gradient are added
+    into `d_emb`, the tied head's.  Consumes `cache`, whose block list it
+    empties, and `dx`, which the top block's backward overwrites."""
     emb_cache, block_caches = cache
     grads = {}
     for layer in reversed(range(cfg.layers)):

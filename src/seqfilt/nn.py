@@ -22,11 +22,16 @@ so a batch is what gets shared out, not a kernel: `batch_chunks` cuts a
 batch whose activations hold at least 2^17 elements into chunks of 64
 examples, and `run_chunks` runs a job per chunk on a pool of
 min(2, usable CPUs) threads, the caller and one worker, which claim
-chunks from a shared counter.  `train.loss_and_grads` runs the forward
-pass, the head, the softmax and the backward pass of each chunk,
-`model.predict_scores_batch` scores each chunk, and `evaluation.evaluate`
-scores and ranks each chunk; the filter operators and their backward,
-Adam and the orthogonality penalty run once per batch in the caller.
+chunks from a shared counter.  The worker is the one thread of a
+standard-library `ThreadPoolExecutor`, started by the first chunked
+batch; a forked child makes a fresh executor, since it inherits no
+threads.  The caller cancels the worker's task if the worker has not
+started it by the time the chunks ran out, and else waits for it.
+`train.loss_and_grads` runs the forward pass, the head, the softmax and
+the backward pass of each chunk, `model.predict_scores_batch` scores
+each chunk, and `evaluation.evaluate` scores and ranks each chunk; the
+filter operators and their backward, Adam and the orthogonality penalty
+run once per batch in the caller.
 Smaller batches (small prediction batches, small models) run whole in
 the caller's thread, with no handoff.  A chunk computes the same bits on
 either thread and results are summed in chunk order, so nothing depends
@@ -46,11 +51,11 @@ constants, not parameters.
 from __future__ import annotations
 
 import ctypes
+import functools
 import itertools
 import os
 import platform
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,9 +102,6 @@ _SPLIT_MIN = 1 << 17
 # examples per chunk of a larger batch; at B=256, 32 and 64 measured
 # alike, and 128 would be two fixed halves, which a stalled thread holds up
 _CHUNK_ROWS = 64
-_worker = None  # (pid, task queue of the worker thread), made on first use
-_worker_lock = threading.Lock()  # guards the check-then-start of _worker
-_ROW_MEANS = {}  # width -> _row_mean(width)
 
 
 class NumericError(RuntimeError):
@@ -148,48 +150,31 @@ def pool_size() -> int:
     return _WORKERS
 
 
-def _worker_tasks():
-    """The worker thread's task queue; the thread starts on first use, and
-    again in a forked child, which inherits no threads."""
-    global _worker
-    pid = os.getpid()
-    with _worker_lock:
-        if _worker is None or _worker[0] != pid:
-            tasks = queue.SimpleQueue()
-            threading.Thread(target=_serve, args=(tasks,), name="seqfilt-rows", daemon=True).start()
-            _worker = (pid, tasks)
-        return _worker[1]
+def _new_pool():
+    """Make the worker pool; its thread starts on the first `submit`.  Run
+    again in a forked child, which inherits the parent's pool but none of
+    its threads, and maybe its locks held."""
+    global _pool
+    _pool = ThreadPoolExecutor(1, thread_name_prefix="seqfilt-rows")
 
 
-def _reset_worker_lock():
-    """A forked child inherits the lock in whatever state a parent thread
-    left it, and none of the threads that could release it."""
-    global _worker_lock
-    _worker_lock = threading.Lock()
-
-
+_new_pool()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_worker_lock)
-
-
-def _serve(tasks):
-    while True:
-        tasks.get()()
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 def _share(job, count):
     """Run job(0), ..., job(count - 1) on the caller and the worker.
 
     Each thread claims the next index from one counter, so a thread that
-    the host stalls holds up no fixed share of the work.  A worker that
-    has not started by the time the caller ran out of indices does
-    nothing; otherwise the caller waits for it.  The first exception
-    either thread raised is raised in the caller, after that wait."""
+    the host stalls holds up no fixed share of the work.  Once the caller
+    ran out of indices it cancels the worker's task, which succeeds when
+    the worker has not started it, or else waits for it.  The first
+    exception either thread raised, an interrupt included, stops both
+    claiming further indices, and is raised in the caller after that
+    wait."""
     claim = itertools.count()
     errors = []
-    started = threading.Lock()
-    done = threading.Lock()
-    done.acquire()
 
     def drain():
         try:
@@ -201,17 +186,18 @@ def _share(job, count):
         except BaseException as exc:
             errors.append(exc)
 
-    def remote():
-        if started.acquire(blocking=False):
-            drain()
-            done.release()
-
-    _worker_tasks().put(remote)
+    try:
+        remote = _pool.submit(drain)
+    except RuntimeError:
+        # the interpreter is shutting down, as for a thread still running
+        # once the main thread has ended: the caller runs every index
+        remote = None
     drain()
-    if not started.acquire(blocking=False):
-        done.acquire()
-    # a task the worker has yet to dequeue must not keep the job's arrays
-    # alive: drop them from the closure it shares
+    if remote is not None and not remote.cancel():
+        remote.result()
+    # a cancelled task stays in the pool's queue until the worker reaches
+    # it, and must not keep the job's arrays alive: drop them from the
+    # closure it shares
     job = None
     if errors:
         raise errors[0]
@@ -229,10 +215,10 @@ def batch_chunks(rows, row_size):
 
 def run_chunks(job, count):
     """job(0), ..., job(count - 1), each a chunk that writes its own
-    results: shared by the caller and the worker, or in turn in the
-    caller when there is one chunk or one thread.  Each chunk computes
-    the same bits on either thread, so results do not depend on the pool
-    size."""
+    results: shared by the caller and the executor's worker thread, which
+    `_share` cancels or waits for, or in turn in the caller when there is
+    one chunk or one thread.  Each chunk computes the same bits on either
+    thread, so results do not depend on the pool size."""
     if count < 2 or _WORKERS < 2:
         for i in range(count):
             job(i)
@@ -240,15 +226,13 @@ def run_chunks(job, count):
         _share(job, count)
 
 
+@functools.lru_cache(maxsize=None)
 def _row_mean(width):
     """The read-only vector of `width` entries 1/width whose product with
     a row is the row's mean; made once per width, since at batch 1
     filling it anew costs a few percent of a prediction."""
-    vec = _ROW_MEANS.get(width)
-    if vec is None:
-        vec = np.full(width, 1.0 / width)
-        vec.flags.writeable = False
-        _ROW_MEANS[width] = vec
+    vec = np.full(width, 1.0 / width)
+    vec.flags.writeable = False
     return vec
 
 

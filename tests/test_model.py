@@ -221,16 +221,26 @@ class TestEncoder:
         params = mdl.init_params(cfg, rng)
         ids = rng.integers(1, 21, size=(1, 8))
         ops = [mdl._tap_operator(cfg, mdl.layer_taps(params, blk)[0]) for blk in range(cfg.layers - 1)]
-        _, (_, base_blocks) = mdl.model_forward(params, cfg, ids, training=True)
+        frozen = mdl.filter_operators(params, cfg)[0]
+        _, (_, base_blocks) = mdl.model_forward(params, cfg, ids, training=True, frozen_ops=frozen)
         for j in (2, 5, 7):
             bumped = ids.copy()
             bumped[0, j] = (ids[0, j] % 20) + 1
-            _, (_, blocks) = mdl.model_forward(params, cfg, bumped, training=True)
+            _, (_, blocks) = mdl.model_forward(params, cfg, bumped, training=True, frozen_ops=frozen)
             for blk in range(cfg.layers - 1):
                 filt_base, filt_new = (ops[blk] @ b[blk][1] for b in (base_blocks, blocks))
                 assert np.abs(filt_new[0, :j] - filt_base[0, :j]).max() <= 1e-12
                 out_base, out_new = base_blocks[blk + 1][1], blocks[blk + 1][1]
                 assert np.abs(out_new[0, :j] - out_base[0, :j]).max() <= 1e-12
+
+    def test_training_pass_needs_the_operators(self, rng):
+        # the live filter has no backward, so a cache built on it could
+        # not be differentiated
+        cfg = tiny_config()
+        params = mdl.init_params(cfg, rng)
+        ids = rng.integers(1, 21, size=(2, 8))
+        with pytest.raises(ValueError, match="filter_operators"):
+            mdl.model_forward(params, cfg, ids, rng, training=True)
 
     def test_circular_mode_mixes_all_positions(self, rng):
         cfg = tiny_config(layers=2, filter_mode="circular")

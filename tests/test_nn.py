@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -304,9 +305,13 @@ def _model():
     return init_params(cfg, np.random.default_rng(4)), cfg
 
 
+def _rows_thread_alive():
+    return any(t.name.startswith("seqfilt-rows") for t in threading.enumerate())
+
+
 def _child_scores(params, cfg, ids, results):
     scores = predict_scores_batch(params, cfg, ids)
-    results.put((os.getpid(), nn._worker[0], scores.tobytes()))
+    results.put((os.getpid(), _rows_thread_alive(), scores.tobytes()))
 
 
 class TestRowPool:
@@ -406,6 +411,35 @@ class TestRowPool:
         for a, b in zip(want, got):
             assert np.array_equal(a, b)
 
+    def test_cancelled_worker_task_keeps_no_chunk_arrays(self, two_threads):
+        # while another caller's chunk holds the worker, this caller's task
+        # waits in the pool's queue and is cancelled there: the arrays its
+        # job binds must still go once the caller drops them
+        busy, release = threading.Event(), threading.Event()
+
+        def hold(i):
+            if threading.current_thread().name.startswith("seqfilt-rows"):
+                busy.set()
+                release.wait(10)
+            else:
+                busy.wait(10)
+
+        holder = threading.Thread(target=nn.run_chunks, args=(hold, 2))
+        holder.start()
+        try:
+            assert busy.wait(10), "the worker thread never ran a chunk"
+            arr = np.ones(1000)
+            sums = []
+            nn.run_chunks(lambda i, a=arr: sums.append(a.sum()), 4)
+            assert sums == [1000.0] * 4
+            ref = weakref.ref(arr)
+            del arr
+            assert ref() is None
+        finally:
+            release.set()
+            holder.join(timeout=10)
+        assert not holder.is_alive()
+
     def test_pool_starts_on_first_split(self):
         script = (
             "import json, threading, numpy as np\n"
@@ -414,7 +448,7 @@ class TestRowPool:
             "nn._WORKERS = 2\n"
             f"cfg = ModelConfig(num_items=20, max_len={N}, dim={D}, layers=1, num_bases=4)\n"
             "params = init_params(cfg, np.random.default_rng(4))\n"
-            "alive = lambda: any(t.name == 'seqfilt-rows' for t in threading.enumerate())\n"
+            "alive = lambda: any(t.name.startswith('seqfilt-rows') for t in threading.enumerate())\n"
             "seen = [alive()]\n"
             f"predict_scores_batch(params, cfg, np.ones((64, {N}), dtype=int))\n"
             "seen.append(alive())\n"
@@ -429,6 +463,29 @@ class TestRowPool:
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout) == [False, False, True]
 
+    def test_chunks_run_after_the_main_thread_ended(self):
+        # once the main thread has ended the pool takes no task, but a
+        # thread still running shares its batches with no one and finishes
+        script = (
+            "import threading, time\n"
+            "from seqfilt import nn\n"
+            "nn._WORKERS = 2\n"
+            "def late():\n"
+            "    threading.main_thread().join()\n"
+            "    time.sleep(0.2)\n"
+            "    done = []\n"
+            "    nn.run_chunks(done.append, 4)\n"
+            "    print(sorted(done))\n"
+            "threading.Thread(target=late).start()\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nn.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert json.loads(done.stdout) == [0, 1, 2, 3]
+
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
     )
@@ -436,18 +493,19 @@ class TestRowPool:
         params, cfg = _model()
         ids = rng.integers(0, 21, size=(300, N))
         want = predict_scores_batch(params, cfg, ids)  # the worker of this process runs
-        assert nn._worker[0] == os.getpid()
+        assert _rows_thread_alive()
         ctx = multiprocessing.get_context("fork")
         results = ctx.Queue()
         child = ctx.Process(target=_child_scores, args=(params, cfg, ids, results))
         child.start()
         try:
-            pid, pool_pid, got = results.get(timeout=60)
+            pid, alive, got = results.get(timeout=60)
             child.join(timeout=60)
         finally:
             if child.is_alive():
                 child.kill()
                 child.join()
         assert child.exitcode == 0
-        assert pid == pool_pid == child.pid
+        assert pid == child.pid
+        assert alive
         assert got == want.tobytes()
