@@ -19,8 +19,9 @@ cached x_hat; the GELU and dropout backwards leave their caches as they are.
 
 Threads.  The encoder and the head treat each example of a batch apart,
 so a batch is what gets shared out, not a kernel: `batch_chunks` cuts a
-batch whose activations hold at least 2^17 elements into chunks of 64
-examples, and `run_chunks` runs a job per chunk on a pool of
+batch into chunks that each hold at least _SPLIT_MIN forward flops, two
+halves of a batch of up to 64 examples or chunks of 64 or more examples
+of a larger one, and `run_chunks` runs a job per chunk on a pool of
 min(2, usable CPUs) threads, the caller and one worker, which claim
 chunks from a shared counter.  The worker is the one thread of a
 standard-library `ThreadPoolExecutor`, started by the first chunked
@@ -29,13 +30,15 @@ threads.  The caller cancels the worker's task if the worker has not
 started it by the time the chunks ran out, and else waits for it.
 `train.loss_and_grads` runs the forward pass, the head, the softmax and
 the backward pass of each chunk, `model.predict_scores_batch` scores
-each chunk, and `evaluation.evaluate` scores and ranks each chunk; the
-filter operators and their backward, Adam and the orthogonality penalty
-run once per batch in the caller.
-Smaller batches (small prediction batches, small models) run whole in
-the caller's thread, with no handoff.  A chunk computes the same bits on
-either thread and results are summed in chunk order, so nothing depends
-on the pool size.  BLAS keeps its own threads.
+each chunk, and `evaluation.evaluate` scores and ranks each chunk; all
+three size their chunks by `model.example_flops`, and a chunk's job
+never splits its rows again.  The filter operators and their backward,
+Adam and the orthogonality penalty run once per batch in the caller.
+A batch with too little work for two chunks (batch-1 prediction, the
+small models' steps) runs whole in the caller's thread, with no handoff.
+A chunk computes the same bits on either thread and results are summed
+in chunk order, so nothing depends on the pool size.  BLAS keeps its own
+threads.
 
 Each training step allocates and frees hundreds of MB of such
 temporaries, and each prediction tens of MB.  Importing this module,
@@ -96,11 +99,14 @@ _TRIM_THRESHOLD = 1024 * 1024 * 1024
 
 # the pool: the caller plus at most one worker thread
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-# batches whose activations hold fewer elements than this run as one
-# chunk: chunking a B=256, N=10, D=16 step (2^15.3) made it 2.7x slower
-_SPLIT_MIN = 1 << 17
-# examples per chunk of a larger batch; at B=256, 32 and 64 measured
-# alike, and 128 would be two fixed halves, which a stalled thread holds up
+# the forward flops a chunk must hold to be worth a thread: on one BLAS
+# thread, frozen long-window prediction (1.25 M flops an example) ran its
+# halves 0.96x as fast as the whole batch at 4 rows a half, 1.00x at 5
+# and 1.35x at 6, and long-history prediction (11 k) 0.94x at 512 rows
+_SPLIT_MIN = 7_000_000
+# a batch of more rows than this is cut into chunks of this many rows,
+# or more when that is too little work; 32 and 64 measured alike at
+# B=256, and fixed halves would leave a stalled thread holding up half
 _CHUNK_ROWS = 64
 
 
@@ -200,17 +206,31 @@ def _share(job, count):
     # closure it shares
     job = None
     if errors:
-        raise errors[0]
+        # the cancelled task's closure still holds this list: leave it
+        # empty, so that the exception's traceback, and the chunk arrays
+        # its frames hold, go once the caller is done with the exception
+        del errors[1:]
+        raise errors.pop()
 
 
-def batch_chunks(rows, row_size):
-    """Slices of a batch of `rows` examples, each `row_size` elements per
-    activation, that `run_chunks` shares out: _CHUNK_ROWS examples each,
-    the last maybe fewer, once the batch holds _SPLIT_MIN elements, and
-    the whole batch below that."""
-    if rows * row_size < _SPLIT_MIN:
+def batch_chunks(rows, work):
+    """Slices of a batch of `rows` examples of `work` forward flops each
+    (`model.example_flops`) that `run_chunks` shares out.  Up to
+    _CHUNK_ROWS rows the batch is cut in two halves, and a larger one in
+    chunks of max(_CHUNK_ROWS, rows that reach _SPLIT_MIN flops), the last
+    maybe fewer.  A last chunk below _SPLIT_MIN flops joins the one before
+    it, so every chunk clears the floor, and a batch with too little work
+    for two chunks stays whole."""
+    if rows * work < 2 * _SPLIT_MIN:
         return [slice(0, rows)]
-    return [slice(lo, min(lo + _CHUNK_ROWS, rows)) for lo in range(0, rows, _CHUNK_ROWS)]
+    if rows <= _CHUNK_ROWS:
+        size = -(-rows // 2)
+    else:
+        size = max(_CHUNK_ROWS, -(-_SPLIT_MIN // work))
+    starts = list(range(0, rows, size))
+    if (rows - starts[-1]) * work < _SPLIT_MIN:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [rows])]
 
 
 def run_chunks(job, count):

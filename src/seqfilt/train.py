@@ -4,11 +4,12 @@ Adam updates, validation-based early stopping.
 Each example is one history prefix whose target is the next item; the
 loss reads only the encoder's final position (`model_forward` returns
 it as (B, D)), so the last block is computed for that position alone.
-Examples are independent up to the loss, so a large batch runs as
-chunks of examples on the pool of `seqfilt.nn`; the filter operators
-and their backward, Adam and the orthogonality penalty run once per
-batch.  A non-finite loss raises `NumericError` naming the epoch, the
-batch and the first non-finite parameter group."""
+Examples are independent up to the loss, so a batch with enough work
+(`nn.batch_chunks`) runs as chunks of examples on the pool of
+`seqfilt.nn`; the filter operators and their backward, Adam and the
+orthogonality penalty run once per batch.  A non-finite loss raises
+`NumericError` naming the epoch, the batch and the first non-finite
+parameter group."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 from .data import Corpus, DataError, make_batches, split_loo, train_examples
 from .evaluation import evaluate
 from .model import ModelConfig, atomic_open, block_key, filter_backward, filter_operators, init_params
-from .model import model_backward, model_forward, score_logits
+from .model import example_flops, model_backward, model_forward, score_logits
 from .nn import NumericError, adam_init, adam_step, batch_chunks, ortho_penalty, run_chunks, softmax_xent_batch
 
 __all__ = [
@@ -100,7 +101,7 @@ def loss_and_grads(params, cfg: ModelConfig, ids, targets, alpha, rng=None):
     chunk's gradients are added into the step's as soon as every earlier
     chunk's are, in chunk order; the filter backward and penalty run once."""
     ids, targets = np.asarray(ids), np.asarray(targets)
-    chunks = batch_chunks(len(ids), cfg.max_len * cfg.dim)
+    chunks = batch_chunks(len(ids), example_flops(cfg))
     rngs = [rng] * len(chunks)
     if rng is not None and len(chunks) > 1:
         rngs = [np.random.default_rng(seed) for seed in rng.integers(1 << 63, size=len(chunks))]

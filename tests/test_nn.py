@@ -16,7 +16,7 @@ import pytest
 
 from conftest import finite_diff, rel_err
 from seqfilt import nn
-from seqfilt.model import ModelConfig, init_params, predict_scores_batch
+from seqfilt.model import ModelConfig, example_flops, freeze_filters, init_params, predict_scores_batch
 
 
 def softmax_xent(logits, target, exclude=()):
@@ -297,11 +297,14 @@ class TestAdam:
 
 
 CHUNKS = 8  # jobs per run_chunks call in the race tests
-N, D = 8, 64  # with 300 examples, five chunks: four of 64 and one of 44
+N, D, L = 16, 64, 2  # with 300 examples, five chunks: four of 64 and one of 44
+# the benchmark's two model shapes
+LONG_WINDOW = ModelConfig(num_items=685, max_len=50, dim=64, layers=2, num_bases=8)
+LONG_HISTORY = ModelConfig(num_items=294, max_len=10, dim=16, layers=1, num_bases=4)
 
 
 def _model():
-    cfg = ModelConfig(num_items=20, max_len=N, dim=D, layers=1, num_bases=4)
+    cfg = ModelConfig(num_items=20, max_len=N, dim=D, layers=L, num_bases=4)
     return init_params(cfg, np.random.default_rng(4)), cfg
 
 
@@ -320,19 +323,30 @@ class TestRowPool:
         monkeypatch.setattr(nn, "_WORKERS", 2)
 
     def test_batch_chunks_cover_each_row_once(self):
-        for rows in (65, 256, 300, 2048):
-            chunks = nn.batch_chunks(rows, 50 * 64)
+        for rows in (119, 256, 300, 2048):
+            chunks = nn.batch_chunks(rows, example_flops(LONG_WINDOW))
             assert len(chunks) == -(-rows // 64)
             assert chunks[0].start == 0 and chunks[-1].stop == rows
             assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
             assert all(0 < c.stop - c.start <= 64 for c in chunks)
 
-    def test_batch_chunks_one_slice_below_split_size_or_at_64_rows(self):
-        assert nn.batch_chunks(2047, 64) == [slice(0, 2047)]  # 2^17 - 64 elements
-        assert len(nn.batch_chunks(2048, 64)) == 32
-        assert nn.batch_chunks(256, 10 * 16) == [slice(0, 256)]  # a small model's step
-        for rows in (1, 41, 64):
-            assert nn.batch_chunks(rows, 50 * 64) == [slice(0, rows)]
+    def test_batch_chunks_follow_the_work_of_an_example(self):
+        def sizes(rows, cfg):
+            return [c.stop - c.start for c in nn.batch_chunks(rows, example_flops(cfg))]
+
+        # 2·N²·D + 4·N·D² for the first block, 2·N·D + 4·D² for the last
+        # one's row, and 2·D·(V+1) for the head
+        assert example_flops(LONG_WINDOW) == 320_000 + 819_200 + 6_400 + 16_384 + 87_808
+        assert example_flops(LONG_HISTORY) == 320 + 1_024 + 9_440
+        assert sizes(8, LONG_WINDOW) == [8]  # 5 M flops a half: not worth a thread
+        assert sizes(16, LONG_WINDOW) == [8, 8]
+        assert sizes(64, LONG_WINDOW) == [32, 32]
+        assert sizes(119, LONG_WINDOW) == [64, 55]
+        assert sizes(256, LONG_WINDOW) == [64] * 4
+        assert sizes(256, LONG_HISTORY) == [256]  # a small model's step
+        chunks = sizes(4096, LONG_HISTORY)
+        assert len(chunks) > 1 and sum(chunks) == 4096
+        assert all(rows * example_flops(LONG_HISTORY) >= nn._SPLIT_MIN for rows in chunks)
 
     def _race(self, work_in_caller):
         """A job whose chunks in the worker thread wait 0.2 s and then
@@ -440,17 +454,63 @@ class TestRowPool:
             holder.join(timeout=10)
         assert not holder.is_alive()
 
+    def test_failed_batch_keeps_no_chunk_arrays(self, two_threads):
+        # while another caller's chunk holds the worker, this caller's job
+        # raises with an array in its frame; the cancelled task waiting in
+        # the pool's queue must not keep that error, and the array, alive
+        busy, release = threading.Event(), threading.Event()
+
+        def hold(i):
+            if threading.current_thread().name.startswith("seqfilt-rows"):
+                busy.set()
+                release.wait(10)
+            else:
+                busy.wait(10)
+
+        def fail(i, a):
+            raise ValueError(a.sum())
+
+        holder = threading.Thread(target=nn.run_chunks, args=(hold, 2))
+        holder.start()
+        try:
+            assert busy.wait(10), "the worker thread never ran a chunk"
+            arr = np.ones(1000)
+            ref = weakref.ref(arr)
+            try:
+                nn.run_chunks(lambda i, a=arr: fail(i, a), 4)
+            except ValueError as exc:
+                assert str(exc) == "1000.0"
+            else:
+                pytest.fail("the job's error was not raised")
+            del arr
+            assert ref() is None
+        finally:
+            release.set()
+            holder.join(timeout=10)
+        assert not holder.is_alive()
+
+    def test_split_prediction_matches_on_one_and_two_threads(self, monkeypatch, rng):
+        params = init_params(LONG_WINDOW, rng)
+        ops = freeze_filters(params, LONG_WINDOW)
+        ids = rng.integers(0, LONG_WINDOW.num_items + 1, size=(16, LONG_WINDOW.max_len))
+        assert len(nn.batch_chunks(16, example_flops(LONG_WINDOW))) == 2
+        got = []
+        for workers in (1, 2):
+            monkeypatch.setattr(nn, "_WORKERS", workers)
+            got.append(predict_scores_batch(params, LONG_WINDOW, ids, frozen_ops=ops).tobytes())
+        assert got[0] == got[1]
+
     def test_pool_starts_on_first_split(self):
         script = (
             "import json, threading, numpy as np\n"
             "from seqfilt import nn\n"
             "from seqfilt.model import ModelConfig, init_params, predict_scores_batch\n"
             "nn._WORKERS = 2\n"
-            f"cfg = ModelConfig(num_items=20, max_len={N}, dim={D}, layers=1, num_bases=4)\n"
+            f"cfg = ModelConfig(num_items=20, max_len={N}, dim={D}, layers={L}, num_bases=4)\n"
             "params = init_params(cfg, np.random.default_rng(4))\n"
             "alive = lambda: any(t.name.startswith('seqfilt-rows') for t in threading.enumerate())\n"
             "seen = [alive()]\n"
-            f"predict_scores_batch(params, cfg, np.ones((64, {N}), dtype=int))\n"
+            f"predict_scores_batch(params, cfg, np.ones((8, {N}), dtype=int))\n"
             "seen.append(alive())\n"
             f"predict_scores_batch(params, cfg, np.ones((300, {N}), dtype=int))\n"
             "seen.append(alive())\n"

@@ -117,7 +117,7 @@ class TestLossAndGrads:
         params = init_params(cfg, rng)
         ids = rng.integers(0, 61, size=(300, 50))
         targets = rng.integers(1, 61, size=300)
-        sizes = [part.stop - part.start for part in nn.batch_chunks(300, 50 * 64)]
+        sizes = [part.stop - part.start for part in nn.batch_chunks(300, mdl.example_flops(cfg))]
         assert sizes == [64, 64, 64, 64, 44]
         chunked = loss_and_grads(params, cfg, ids, targets, 0.1)
         monkeypatch.setattr(tr, "batch_chunks", lambda rows, size: [slice(0, rows)])
@@ -142,7 +142,7 @@ class TestLossAndGrads:
         cfg = ModelConfig(num_items=60, max_len=50, dim=64, layers=2, dropout=0.2)
         params = init_params(cfg, rng)
         ids = rng.integers(0, 61, size=(300, 50))
-        assert len(nn.batch_chunks(300, 50 * 64)) == 5
+        assert len(nn.batch_chunks(300, mdl.example_flops(cfg))) == 5
         loss_and_grads(params, cfg, ids, rng.integers(1, 61, size=300), 0.0, rng=rng)
         assert calls == {"build_tap_matrix": cfg.layers, "build_tap_matrix_backward": cfg.layers}
 
@@ -157,7 +157,7 @@ class TestLossAndGrads:
         params = init_params(cfg, rng)
         ids = rng.integers(0, 701, size=(256, 50))
         targets = rng.integers(1, 701, size=256)
-        assert len(nn.batch_chunks(256, 50 * 64)) == 4
+        assert len(nn.batch_chunks(256, mdl.example_flops(cfg))) == 4
         loss_and_grads(params, cfg, ids, targets, 1e-3, rng=rng)  # one-time allocations
         tracemalloc.start()
         try:
@@ -180,7 +180,7 @@ class TestLossAndGrads:
         params = init_params(cfg, rng)
         ids = rng.integers(0, 12001, size=(256, 50))
         targets = rng.integers(1, 12001, size=256)
-        assert len(nn.batch_chunks(256, 50 * 64)) == 4
+        assert len(nn.batch_chunks(256, mdl.example_flops(cfg))) == 4
         loss_and_grads(params, cfg, ids, targets, 1e-3, rng=rng)  # one-time allocations
         tracemalloc.start()
         try:
@@ -268,8 +268,8 @@ class TestFit:
             assert np.array_equal(params_a[key], params_b[key])
 
     def test_row_pool_size_changes_no_byte(self, monkeypatch, tmp_path):
-        # at N=50 and D=64 every batch of this corpus (256, 256 and 220
-        # rows) puts the first block's row kernels above the split size
+        # at N=50, D=64 and L=2 every batch of this corpus (256, 256 and
+        # 220 rows) splits into 64-row chunks
         corpus = make_synthetic(12, 40, 64, np.random.default_rng(8))
         cfg = ModelConfig(num_items=40, max_len=50, dim=64, dropout=0.2)
         tcfg = TrainConfig(lr=3e-3, epochs=2, batch_size=256, patience=2, seed=8)
