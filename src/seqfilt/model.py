@@ -29,8 +29,7 @@ path is the reference the frozen one is checked against.
 Every example is encoded apart, so `predict_scores_batch` scores a batch
 that `nn.batch_chunks` splits chunk by chunk on the pool of `seqfilt.nn`,
 with the same bits on one thread as on two.  Chunks are sized by the
-forward flops of an example (`example_flops`); `score_rows` scores one
-chunk in the calling thread, and `evaluate` calls it for its own chunks.
+forward flops of an example (`example_flops`).
 
 Parameters live in a flat dict of float64 arrays so the optimizer and the
 gradient checks can treat every group uniformly.  Forward passes return
@@ -89,9 +88,7 @@ __all__ = [
     "model_forward",
     "model_backward",
     "score_logits",
-    "check_ids",
     "example_flops",
-    "score_rows",
     "predict_scores",
     "predict_scores_batch",
     "freeze_filters",
@@ -304,8 +301,7 @@ def filter_backward(cfg: ModelConfig, tap_caches, grads):
 # embedding layer
 
 
-def check_ids(cfg: ModelConfig, ids):
-    """`ids` as an array, once it is (B, N) and every id lies in [0, V]."""
+def _check_ids(cfg: ModelConfig, ids):
     ids = np.asarray(ids)
     if ids.ndim != 2 or ids.shape[1] != cfg.max_len:
         raise ShapeMismatch(
@@ -443,7 +439,7 @@ def model_forward(params, cfg, ids, rng=None, training=False, frozen_ops=None):
     live filter has no backward."""
     if training and frozen_ops is None:
         raise ValueError("a training pass needs frozen_ops=filter_operators(params, cfg)[0]")
-    return _forward(params, cfg, check_ids(cfg, ids), rng, training, frozen_ops)
+    return _forward(params, cfg, _check_ids(cfg, ids), rng, training, frozen_ops)
 
 
 def _forward(params, cfg, ids, rng, training, frozen_ops):
@@ -509,24 +505,17 @@ def example_flops(cfg: ModelConfig) -> int:
     return (cfg.layers - 1) * full + last + 2 * d * (cfg.num_items + 1)
 
 
-def score_rows(params, cfg, ids, frozen_ops=None, out=None):
-    """Scores (B, V+1) of (B, N) ids that `check_ids` passed, computed
-    whole in the calling thread and written into `out` when given: the
-    job of one chunk of `predict_scores_batch` or `evaluate`."""
-    x_last, _ = _forward(params, cfg, ids, None, False, frozen_ops)
-    return score_logits(params, x_last, out)
-
-
 def predict_scores_batch(params, cfg, ids, frozen_ops=None):
     """Scores (B, V+1) for a batch of (B, N) ids.  A batch that
     `batch_chunks` splits is scored chunk by chunk on the pool, into the
     one array."""
-    ids = check_ids(cfg, ids)
+    ids = _check_ids(cfg, ids)
     chunks = batch_chunks(len(ids), example_flops(cfg))
     scores = np.empty((len(ids), cfg.num_items + 1))
 
     def job(i):
-        score_rows(params, cfg, ids[chunks[i]], frozen_ops, scores[chunks[i]])
+        x_last, _ = _forward(params, cfg, ids[chunks[i]], None, False, frozen_ops)
+        score_logits(params, x_last, scores[chunks[i]])
 
     run_chunks(job, len(chunks))
     return scores

@@ -29,10 +29,10 @@ batch; a forked child makes a fresh executor, since it inherits no
 threads.  The caller cancels the worker's task if the worker has not
 started it by the time the chunks ran out, and else waits for it.
 `train.loss_and_grads` runs the forward pass, the head, the softmax and
-the backward pass of each chunk, `model.predict_scores_batch` scores
-each chunk, and `evaluation.evaluate` scores and ranks each chunk; all
-three size their chunks by `model.example_flops`, and a chunk's job
-never splits its rows again.  The filter operators and their backward,
+the backward pass of each chunk, and `model.predict_scores_batch`
+scores each chunk, for its callers and for `evaluation.evaluate`; both
+size their chunks by `model.example_flops`, and a chunk's job never
+splits its rows again.  The filter operators and their backward,
 Adam and the orthogonality penalty run once per batch in the caller.
 A batch with too little work for two chunks (batch-1 prediction, the
 small models' steps) runs whole in the caller's thread, with no handoff.

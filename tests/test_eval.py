@@ -280,97 +280,38 @@ class TestEvaluate:
 
     def test_chunked_batches_match_on_one_and_two_threads(self, monkeypatch):
         # at N=50, D=64 and L=2 a 300-user batch splits into 5 chunks
-        # (4 x 64 and 44), each scored and ranked by its own job; the last
-        # batch of 37 users splits into two halves
+        # (4 x 64 and 44), and batches of 37 and 24 users into two halves.
+        # predict_scores_batch shares each out once, and the ranks are
+        # those of its scores; a pool entered from inside a job would add
+        # a count.  337 users are 300 + 37, or 14 x 24 + 1.
         rng = np.random.default_rng(14)
         split = split_loo(make_synthetic_random(337, 60, rng))
         cfg = ModelConfig(num_items=60, max_len=50, dim=64, layers=2, num_bases=4)
         params = init_params(cfg, rng)
-        assert [len(nn.batch_chunks(b, example_flops(cfg))) for b in (300, 37)] == [5, 2]
+        assert [len(nn.batch_chunks(b, example_flops(cfg))) for b in (300, 37, 24, 1)] == [5, 2, 2, 1]
         shares = []
         share = nn._share
         monkeypatch.setattr(nn, "_share", lambda job, count: shares.append(count) or share(job, count))
         ops = freeze_filters(params, cfg)
-        for seen in (False, True):
-            reports = []
-            for workers in (1, 2):
-                monkeypatch.setattr(nn, "_WORKERS", workers)
-                shares.clear()
-                reports.append(ev.evaluate(split, params, cfg, batch_size=300, filter_seen=seen).to_csv())
-                assert shares == ([5, 2] if workers == 2 else [])
-            assert reports[0] == reports[1]
-            # the oracle ranks the same batches' scores one row at a time
-            examples = eval_instances(split, "test")
-            items, starts, ends = examples
-            ranks = []
-            for ids, targets in make_batches(examples, cfg.max_len, 300):
-                scores = predict_scores_batch(params, cfg, ids, frozen_ops=ops)
-                lo = len(ranks)
-                contexts = [items[starts[i]:ends[i]] for i in range(lo, lo + len(ids))] if seen else None
-                ranks.extend(oracle_ranks(scores, targets, contexts))
-            assert reports[0] == ev.aggregate_ranks(ranks, "test", 0, seen).to_csv()
-
-    def test_split_batches_rank_the_scores_predict_gives(self, monkeypatch):
-        # at N=50, D=64 and L=2, batches of 37 and 24 users each split into
-        # two halves: every chunk evaluate scores is, bit for bit, its rows
-        # of predict_scores_batch on the whole batch, its ranks are those
-        # of these scores, on one thread as on two, and the pool is entered
-        # once per batch, never from inside a job
-        rng = np.random.default_rng(15)
-        split = split_loo(make_synthetic_random(61, 60, rng))
-        cfg = ModelConfig(num_items=60, max_len=50, dim=64, layers=2, num_bases=4)
-        params = init_params(cfg, rng)
-        work = example_flops(cfg)
-        assert [len(nn.batch_chunks(b, work)) for b in (37, 24)] == [2, 2]
-        shares, inside = [], []
-        share = nn._share
-
-        def counting_share(job, count):
-            assert not inside, "the pool was entered from inside a job"
-            shares.append(count)
-            inside.append(True)
-            try:
-                share(job, count)
-            finally:
-                inside.pop()
-
-        monkeypatch.setattr(nn, "_share", counting_share)
-        scored = []
-        score_rows = ev.score_rows
-
-        def recording_score_rows(params, cfg, ids, frozen_ops=None, out=None):
-            scores = score_rows(params, cfg, ids, frozen_ops, out)
-            scored.append((ids.copy(), scores.copy()))
-            return scores
-
-        monkeypatch.setattr(ev, "score_rows", recording_score_rows)
-        got = []
-        aggregate = ev.aggregate_ranks
-        monkeypatch.setattr(ev, "aggregate_ranks", lambda ranks, *a: got.append(ranks.copy()) or aggregate(ranks, *a))
-        ops = freeze_filters(params, cfg)
         examples = eval_instances(split, "test")
         items, starts, ends = examples
-        batches = list(make_batches(examples, cfg.max_len, 37))
-        scores = [predict_scores_batch(params, cfg, ids, frozen_ops=ops) for ids, _ in batches]
-        for seen in (False, True):
-            want, reports = [], []
-            for (ids, targets), batch_scores in zip(batches, scores):
-                lo = sum(map(len, want))
-                contexts = [items[starts[i]:ends[i]] for i in range(lo, lo + len(ids))] if seen else None
-                want.append(oracle_ranks(batch_scores, targets, contexts))
-            for workers in (1, 2):
-                monkeypatch.setattr(nn, "_WORKERS", workers)
-                for record in (shares, scored, got):
-                    record.clear()
-                reports.append(ev.evaluate(split, params, cfg, batch_size=37, filter_seen=seen).to_csv())
-                assert shares == ([2, 2] if workers == 2 else [])
-                assert len(scored) == 4
-                for (ids, _), batch_scores in zip(batches, scores):
-                    for rows in nn.batch_chunks(len(ids), work):
-                        match = [s for chunk, s in scored if np.array_equal(chunk, ids[rows])]
-                        assert len(match) == 1 and match[0].tobytes() == batch_scores[rows].tobytes()
-                assert np.array_equal(got[0], np.concatenate(want))
-            assert reports[0] == reports[1]
+        for batch_size, counts in ((300, [5, 2]), (24, [2] * 14)):
+            for seen in (False, True):
+                reports = []
+                for workers in (1, 2):
+                    monkeypatch.setattr(nn, "_WORKERS", workers)
+                    shares.clear()
+                    reports.append(ev.evaluate(split, params, cfg, batch_size=batch_size, filter_seen=seen).to_csv())
+                    assert shares == (counts if workers == 2 else [])
+                assert reports[0] == reports[1]
+                # the oracle ranks the same batches' scores one row at a time
+                ranks = []
+                for ids, targets in make_batches(examples, cfg.max_len, batch_size):
+                    scores = predict_scores_batch(params, cfg, ids, frozen_ops=ops)
+                    lo = len(ranks)
+                    contexts = [items[starts[i]:ends[i]] for i in range(lo, lo + len(ids))] if seen else None
+                    ranks.extend(oracle_ranks(scores, targets, contexts))
+                assert reports[0] == ev.aggregate_ranks(ranks, "test", 0, seen).to_csv()
 
     SEQS = [[1, 2, 3, 4], [2, 3, 4, 5], [3, 4, 5, 6], [4, 5, 6, 1], [5, 6, 1, 2], [6, 1, 2, 7], [1, 3, 5]]
 
