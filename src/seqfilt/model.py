@@ -517,7 +517,8 @@ def predict_scores_batch(params, cfg, ids, frozen_ops=None):
         x_last, _ = _forward(params, cfg, ids[chunks[i]], None, False, frozen_ops)
         score_logits(params, x_last, scores[chunks[i]])
 
-    run_chunks(job, len(chunks))
+    for _ in run_chunks(job, len(chunks)):
+        pass
     return scores
 
 

@@ -108,6 +108,7 @@ _SPLIT_MIN = 7_000_000
 # or more when that is too little work; 32 and 64 measured alike at
 # B=256, and fixed halves would leave a stalled thread holding up half
 _CHUNK_ROWS = 64
+_PENDING = object()  # the result slot of a chunk not yet finished
 
 
 class NumericError(RuntimeError):
@@ -169,50 +170,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)
 
 
-def _share(job, count):
-    """Run job(0), ..., job(count - 1) on the caller and the worker.
-
-    Each thread claims the next index from one counter, so a thread that
-    the host stalls holds up no fixed share of the work.  Once the caller
-    ran out of indices it cancels the worker's task, which succeeds when
-    the worker has not started it, or else waits for it.  The first
-    exception either thread raised, an interrupt included, stops both
-    claiming further indices, and is raised in the caller after that
-    wait."""
-    claim = itertools.count()
-    errors = []
-
-    def drain():
-        try:
-            while not errors:
-                i = next(claim)
-                if i >= count:
-                    break
-                job(i)
-        except BaseException as exc:
-            errors.append(exc)
-
-    try:
-        remote = _pool.submit(drain)
-    except RuntimeError:
-        # the interpreter is shutting down, as for a thread still running
-        # once the main thread has ended: the caller runs every index
-        remote = None
-    drain()
-    if remote is not None and not remote.cancel():
-        remote.result()
-    # a cancelled task stays in the pool's queue until the worker reaches
-    # it, and must not keep the job's arrays alive: drop them from the
-    # closure it shares
-    job = None
-    if errors:
-        # the cancelled task's closure still holds this list: leave it
-        # empty, so that the exception's traceback, and the chunk arrays
-        # its frames hold, go once the caller is done with the exception
-        del errors[1:]
-        raise errors.pop()
-
-
 def batch_chunks(rows, work):
     """Slices of a batch of `rows` examples of `work` forward flops each
     (`model.example_flops`) that `run_chunks` shares out.  Up to
@@ -234,16 +191,65 @@ def batch_chunks(rows, work):
 
 
 def run_chunks(job, count):
-    """job(0), ..., job(count - 1), each a chunk that writes its own
-    results: shared by the caller and the executor's worker thread, which
-    `_share` cancels or waits for, or in turn in the caller when there is
-    one chunk or one thread.  Each chunk computes the same bits on either
-    thread, so results do not depend on the pool size."""
-    if count < 2 or _WORKERS < 2:
-        for i in range(count):
-            job(i)
-    else:
-        _share(job, count)
+    """Yield job(0), ..., job(count - 1) in chunk order, the way
+    `Executor.map` does.
+
+    With two chunks or more and two threads, the caller and the
+    executor's worker claim the next index from one counter, so a thread
+    that the host stalls holds up no fixed share of the work, and the
+    worker only writes its results into their slots; else the caller
+    runs the chunks in turn.  The caller yields each result once every
+    earlier one is in, between its own chunks and after it ran out of
+    indices and cancelled the worker's task, which succeeds when the
+    worker has not started it, or else waited for it.  The first
+    exception either thread raised, an interrupt included, stops both
+    claiming further indices and is raised in the caller after that
+    wait; a consumer that stops early stops the worker the same way.
+    Each chunk computes the same bits on either thread, so results do not
+    depend on the pool size."""
+    claim = itertools.count()
+    results = [_PENDING] * count
+    errors = []
+
+    def drain():
+        # run the chunks this thread claims, one step each, until they
+        # run out or a thread failed
+        try:
+            for i in claim:
+                if i >= count or errors:
+                    return
+                results[i] = job(i)
+                yield
+        except BaseException as exc:
+            errors.append(exc)
+
+    try:
+        remote = _pool.submit(list, drain()) if count > 1 and _WORKERS > 1 else None
+    except RuntimeError:
+        # the interpreter is shutting down, as for a thread still running
+        # once the main thread has ended: the caller runs every index
+        remote = None
+    steps = drain()
+    done = 0  # results 0..done-1 were yielded
+    try:
+        for _ in steps:
+            while done < count and results[done] is not _PENDING:
+                yield results[done]
+                results[done] = None
+                done += 1
+    finally:
+        steps.close()  # a consumer that stopped early stops the worker too
+        if remote is not None and not remote.cancel():
+            remote.result()
+        # a cancelled task stays in the pool's queue until the worker
+        # reaches it: leave it no job, result or error to keep alive
+        job = None
+        rest, failed = results[done:], errors[:1]
+        del results[:], errors[:]
+    if failed:
+        raise failed.pop()
+    while rest:
+        yield rest.pop(0)
 
 
 @functools.lru_cache(maxsize=None)

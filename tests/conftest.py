@@ -1,7 +1,11 @@
-"""Shared numeric helpers for the test suite."""
+"""Shared numeric helpers and fixtures for the test suite."""
+
+import sys
 
 import numpy as np
 import pytest
+
+from seqfilt import nn
 
 
 def finite_diff(f, x, h=1e-5):
@@ -42,3 +46,18 @@ def causal_oracle(taps, x, order):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def pool_shares(monkeypatch):
+    """The chunk count of every batch that `nn.run_chunks` shares with
+    the row pool's worker, one entry per task submitted to the pool."""
+    shares = []
+    submit = nn._pool.submit
+
+    def counting(fn, *args):
+        shares.append(sys._getframe(1).f_locals["count"])  # run_chunks's frame
+        return submit(fn, *args)
+
+    monkeypatch.setattr(nn._pool, "submit", counting)
+    return shares

@@ -278,10 +278,10 @@ class TestEvaluate:
             assert report.num_users == 11 and report.filter_seen
             assert report.num_empty_context == (1 if mode == "valid" else 0)
 
-    def test_chunked_batches_match_on_one_and_two_threads(self, monkeypatch):
+    def test_chunked_batches_match_on_one_and_two_threads(self, monkeypatch, pool_shares):
         # at N=50, D=64 and L=2 a 300-user batch splits into 5 chunks
         # (4 x 64 and 44), and batches of 37 and 24 users into two halves.
-        # predict_scores_batch shares each out once, and the ranks are
+        # predict_scores_batch submits each to the pool once, and the ranks are
         # those of its scores; a pool entered from inside a job would add
         # a count.  337 users are 300 + 37, or 14 x 24 + 1.
         rng = np.random.default_rng(14)
@@ -289,9 +289,7 @@ class TestEvaluate:
         cfg = ModelConfig(num_items=60, max_len=50, dim=64, layers=2, num_bases=4)
         params = init_params(cfg, rng)
         assert [len(nn.batch_chunks(b, example_flops(cfg))) for b in (300, 37, 24, 1)] == [5, 2, 2, 1]
-        shares = []
-        share = nn._share
-        monkeypatch.setattr(nn, "_share", lambda job, count: shares.append(count) or share(job, count))
+        shares = pool_shares
         ops = freeze_filters(params, cfg)
         examples = eval_instances(split, "test")
         items, starts, ends = examples

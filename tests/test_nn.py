@@ -352,7 +352,8 @@ class TestRowPool:
         """A job whose chunks in the worker thread wait 0.2 s and then
         finish; the caller's chunks wait for the worker to have started
         one, then run `work_in_caller`.  Returns the job and the chunks
-        the worker finished, as filled in by the time run_chunks is done."""
+        the worker finished, as filled in by the time run_chunks's
+        iterator is consumed."""
         caller = threading.get_ident()
         started = threading.Event()
         finished = []
@@ -370,7 +371,7 @@ class TestRowPool:
 
     def test_caller_waits_for_the_worker_before_returning(self, two_threads):
         job, finished = self._race(lambda: None)
-        nn.run_chunks(job, CHUNKS)
+        list(nn.run_chunks(job, CHUNKS))
         assert finished
 
     def test_caller_waits_for_the_worker_before_raising(self, two_threads):
@@ -379,7 +380,7 @@ class TestRowPool:
 
         job, finished = self._race(fail)
         with pytest.raises(KeyError, match="caller chunk"):
-            nn.run_chunks(job, CHUNKS)
+            list(nn.run_chunks(job, CHUNKS))
         assert finished
 
     def test_worker_error_reaches_the_caller(self, two_threads):
@@ -392,11 +393,32 @@ class TestRowPool:
 
         for _ in range(20):  # a run where the worker claimed no chunk raises nothing
             try:
-                nn.run_chunks(job, CHUNKS)
+                list(nn.run_chunks(job, CHUNKS))
             except ValueError as exc:
                 assert str(exc) == "worker chunk"
                 return
         pytest.fail("the worker thread never ran a chunk")
+
+    def test_consumer_that_raises_leaves_no_worker_task(self, two_threads):
+        # the consumer raises on the first result: the generator is closed
+        # as the error leaves the loop, stops the worker claiming chunks
+        # and waits for the one it runs, so no chunk runs afterwards
+        running, ran = [], []
+
+        def job(i):
+            running.append(i)
+            time.sleep(0.02)
+            ran.append(i)
+            running.remove(i)
+            return i
+
+        with pytest.raises(KeyError):
+            for _ in nn.run_chunks(job, CHUNKS):
+                raise KeyError("consumer")
+        assert not running
+        assert len(ran) < CHUNKS
+        time.sleep(0.1)
+        assert not running and len(ran) < CHUNKS
 
     def test_concurrent_callers_share_the_worker(self, two_threads):
         # more callers than cores, switching threads every microsecond: a
@@ -438,13 +460,13 @@ class TestRowPool:
             else:
                 busy.wait(10)
 
-        holder = threading.Thread(target=nn.run_chunks, args=(hold, 2))
+        holder = threading.Thread(target=lambda: list(nn.run_chunks(hold, 2)))
         holder.start()
         try:
             assert busy.wait(10), "the worker thread never ran a chunk"
             arr = np.ones(1000)
             sums = []
-            nn.run_chunks(lambda i, a=arr: sums.append(a.sum()), 4)
+            list(nn.run_chunks(lambda i, a=arr: sums.append(a.sum()), 4))
             assert sums == [1000.0] * 4
             ref = weakref.ref(arr)
             del arr
@@ -470,14 +492,14 @@ class TestRowPool:
         def fail(i, a):
             raise ValueError(a.sum())
 
-        holder = threading.Thread(target=nn.run_chunks, args=(hold, 2))
+        holder = threading.Thread(target=lambda: list(nn.run_chunks(hold, 2)))
         holder.start()
         try:
             assert busy.wait(10), "the worker thread never ran a chunk"
             arr = np.ones(1000)
             ref = weakref.ref(arr)
             try:
-                nn.run_chunks(lambda i, a=arr: fail(i, a), 4)
+                list(nn.run_chunks(lambda i, a=arr: fail(i, a), 4))
             except ValueError as exc:
                 assert str(exc) == "1000.0"
             else:
@@ -534,7 +556,7 @@ class TestRowPool:
             "    threading.main_thread().join()\n"
             "    time.sleep(0.2)\n"
             "    done = []\n"
-            "    nn.run_chunks(done.append, 4)\n"
+            "    list(nn.run_chunks(done.append, 4))\n"
             "    print(sorted(done))\n"
             "threading.Thread(target=late).start()\n"
         )

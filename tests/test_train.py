@@ -191,10 +191,13 @@ class TestLossAndGrads:
         table = params["emb"].nbytes
         assert peak <= 6 * table, f"peak {peak / table:.2f} tables"
 
-    def test_chunk_sum_keeps_chunk_order_across_threads(self):
-        """Chunks handed in out of order by more threads than cores, with
-        thread switches forced often, sum to the bits of the in-order loop;
-        their magnitudes differ, so another order would round otherwise."""
+    def test_chunk_sum_keeps_chunk_order_across_threads(self, monkeypatch):
+        """`run_chunks` hands chunks back in chunk order on two threads:
+        chunk 1 finishes before chunk 0 and still comes back second, and
+        the parts sum, as `loss_and_grads` sums them, to the bits of the
+        in-order loop; their magnitudes differ, so another order would
+        round otherwise."""
+        monkeypatch.setattr(nn, "_WORKERS", 2)
         rng = np.random.default_rng(36)
         count = 24
         parts = [
@@ -205,23 +208,28 @@ class TestLossAndGrads:
         for part_ce, part in parts[1:]:
             ce += part_ce
             w += part["w"]
-        total = tr._ChunkSum()
-        threads = [
-            threading.Thread(target=total.add, args=(i, parts[i][0], {"w": parts[i][1]["w"].copy()}))
-            for i in rng.permutation(count)
-        ]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=10)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert total.summed == count and not total.waiting
-        assert total.ce == ce and np.array_equal(total.grads["w"], w)
+        second_done = threading.Event()
+        finished = []
+
+        def job(i):
+            if i == 0:
+                assert second_done.wait(10), "chunk 1 never finished"
+            finished.append(i)
+            if i == 1:
+                second_done.set()
+            return parts[i][0], {"w": parts[i][1]["w"].copy()}
+
+        order, total_ce, total = [], None, None
+        for part_ce, part in nn.run_chunks(job, count):
+            order.append(part_ce)
+            if total is None:
+                total_ce, total = part_ce, part
+            else:
+                total_ce += part_ce
+                total["w"] += part["w"]
+        assert finished.index(1) < finished.index(0)
+        assert order == [part_ce for part_ce, _ in parts]
+        assert total_ce == ce and np.array_equal(total["w"], w)
 
 
 class TestMakeSynthetic:
@@ -267,16 +275,14 @@ class TestFit:
         for key in params_a:
             assert np.array_equal(params_a[key], params_b[key])
 
-    def test_row_pool_size_changes_no_byte(self, monkeypatch, tmp_path):
+    def test_row_pool_size_changes_no_byte(self, monkeypatch, tmp_path, pool_shares):
         # at N=50, D=64 and L=2 every batch of this corpus (256, 256 and
         # 220 rows) splits into 64-row chunks
         corpus = make_synthetic(12, 40, 64, np.random.default_rng(8))
         cfg = ModelConfig(num_items=40, max_len=50, dim=64, dropout=0.2)
         tcfg = TrainConfig(lr=3e-3, epochs=2, batch_size=256, patience=2, seed=8)
         split = split_loo(corpus)
-        shares = []
-        share = nn._share
-        monkeypatch.setattr(nn, "_share", lambda job, count: shares.append(count) or share(job, count))
+        shares = pool_shares
         runs = []
         for workers in (1, 2):
             monkeypatch.setattr(nn, "_WORKERS", workers)
