@@ -104,9 +104,9 @@ _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
 # halves 0.96x as fast as the whole batch at 4 rows a half, 1.00x at 5
 # and 1.35x at 6, and long-history prediction (11 k) 0.94x at 512 rows
 _SPLIT_MIN = 7_000_000
-# a batch of more rows than this is cut into chunks of this many rows,
-# or more when that is too little work; 32 and 64 measured alike at
-# B=256, and fixed halves would leave a stalled thread holding up half
+# a batch is cut into chunks of at most this many rows, when each still
+# clears _SPLIT_MIN; 32 and 64 measured alike at B=256, and fixed halves
+# would leave a stalled thread holding up half
 _CHUNK_ROWS = 64
 _PENDING = object()  # the result slot of a chunk not yet finished
 
@@ -172,22 +172,16 @@ if hasattr(os, "register_at_fork"):
 
 def batch_chunks(rows, work):
     """Slices of a batch of `rows` examples of `work` forward flops each
-    (`model.example_flops`) that `run_chunks` shares out.  Up to
-    _CHUNK_ROWS rows the batch is cut in two halves, and a larger one in
-    chunks of max(_CHUNK_ROWS, rows that reach _SPLIT_MIN flops), the last
-    maybe fewer.  A last chunk below _SPLIT_MIN flops joins the one before
-    it, so every chunk clears the floor, and a batch with too little work
-    for two chunks stays whole."""
-    if rows * work < 2 * _SPLIT_MIN:
+    (`model.example_flops`) that `run_chunks` shares out: `count` chunks
+    whose sizes differ by at most a row, where count =
+    min(max(2, ceil(rows / _CHUNK_ROWS)), rows // ceil(_SPLIT_MIN / work)),
+    so every chunk clears the _SPLIT_MIN floor.  A batch with too little
+    work for two chunks stays whole."""
+    count = min(max(2, -(-rows // _CHUNK_ROWS)), rows // -(-_SPLIT_MIN // work))
+    if count < 2:
         return [slice(0, rows)]
-    if rows <= _CHUNK_ROWS:
-        size = -(-rows // 2)
-    else:
-        size = max(_CHUNK_ROWS, -(-_SPLIT_MIN // work))
-    starts = list(range(0, rows, size))
-    if (rows - starts[-1]) * work < _SPLIT_MIN:
-        starts.pop()
-    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [rows])]
+    bounds = [-(-rows * k // count) for k in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def run_chunks(job, count):

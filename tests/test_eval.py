@@ -280,7 +280,7 @@ class TestEvaluate:
 
     def test_chunked_batches_match_on_one_and_two_threads(self, monkeypatch, pool_shares):
         # at N=50, D=64 and L=2 a 300-user batch splits into 5 chunks
-        # (4 x 64 and 44), and batches of 37 and 24 users into two halves.
+        # of 60, and batches of 37 and 24 users into two halves.
         # predict_scores_batch submits each to the pool once, and the ranks are
         # those of its scores; a pool entered from inside a job would add
         # a count.  337 users are 300 + 37, or 14 x 24 + 1.

@@ -297,7 +297,7 @@ class TestAdam:
 
 
 CHUNKS = 8  # jobs per run_chunks call in the race tests
-N, D, L = 16, 64, 2  # with 300 examples, five chunks: four of 64 and one of 44
+N, D, L = 16, 64, 2  # with 300 examples, five chunks of 60
 # the benchmark's two model shapes
 LONG_WINDOW = ModelConfig(num_items=685, max_len=50, dim=64, layers=2, num_bases=8)
 LONG_HISTORY = ModelConfig(num_items=294, max_len=10, dim=16, layers=1, num_bases=4)
@@ -341,7 +341,14 @@ class TestRowPool:
         assert sizes(8, LONG_WINDOW) == [8]  # 5 M flops a half: not worth a thread
         assert sizes(16, LONG_WINDOW) == [8, 8]
         assert sizes(64, LONG_WINDOW) == [32, 32]
-        assert sizes(119, LONG_WINDOW) == [64, 55]
+        # a batch of 65 to 127 rows runs as two even halves: none is left
+        # whole or cut into 64 rows and a sliver
+        assert sizes(65, LONG_WINDOW) == [33, 32]
+        assert sizes(70, LONG_WINDOW) == [35, 35]
+        assert sizes(100, LONG_WINDOW) == [50, 50]
+        assert sizes(119, LONG_WINDOW) == [60, 59]
+        assert sizes(127, LONG_WINDOW) == [64, 63]
+        assert sizes(129, LONG_WINDOW) == [43, 43, 43]
         assert sizes(256, LONG_WINDOW) == [64] * 4
         assert sizes(256, LONG_HISTORY) == [256]  # a small model's step
         chunks = sizes(4096, LONG_HISTORY)

@@ -109,8 +109,8 @@ class TestLossAndGrads:
 
 
     def test_chunked_batch_matches_one_chunk(self, monkeypatch):
-        """A 300-row batch at N=50, D=64 runs as five chunks, the last of
-        44 rows; with dropout off, it matches the batch run as one chunk
+        """A 300-row batch at N=50, D=64 runs as five chunks of 60 rows;
+        with dropout off, it matches the batch run as one chunk
         to rounding, in the loss and in every gradient group."""
         rng = np.random.default_rng(31)
         cfg = ModelConfig(num_items=60, max_len=50, dim=64, dropout=0.0)
@@ -118,7 +118,7 @@ class TestLossAndGrads:
         ids = rng.integers(0, 61, size=(300, 50))
         targets = rng.integers(1, 61, size=300)
         sizes = [part.stop - part.start for part in nn.batch_chunks(300, mdl.example_flops(cfg))]
-        assert sizes == [64, 64, 64, 64, 44]
+        assert sizes == [60] * 5
         chunked = loss_and_grads(params, cfg, ids, targets, 0.1)
         monkeypatch.setattr(tr, "batch_chunks", lambda rows, size: [slice(0, rows)])
         whole = loss_and_grads(params, cfg, ids, targets, 0.1)
