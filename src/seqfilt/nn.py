@@ -343,11 +343,13 @@ def dropout(x, rate, rng=None, training=True):
     The mask is (keep, scale): a boolean array of the kept entries and
     the scale 1/(1-rate) they are multiplied by, or None when nothing is
     dropped.  Each call draws x.size float64 uniforms from `rng` and
-    builds the output in their buffer."""
+    builds the output in their buffer; a call that draws needs one."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x, None
+    if rng is None:
+        raise ValueError(f"dropout at rate {rate} in training needs a random generator, got None")
     y = rng.random(x.shape)
     scale = 1.0 / (1.0 - rate)
     keep = y >= rate

@@ -155,6 +155,11 @@ class TestDropout:
         with pytest.raises(ValueError):
             nn.dropout(np.ones((2, 2)), 1.0, rng)
 
+    def test_draw_without_generator(self):
+        with pytest.raises(ValueError, match="needs a random generator"):
+            nn.dropout(np.ones((2, 2)), 0.2)
+        assert nn.dropout(np.ones((2, 2)), 0.2, training=False)[1] is None
+
 
 # each backward kernel that takes a `dy`, with a forward making its cache
 BACKWARDS = {

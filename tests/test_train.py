@@ -108,6 +108,15 @@ class TestLossAndGrads:
             loss_and_grads(params, cfg, ids, targets, alpha=0.0)
 
 
+    def test_dropout_without_generator_is_value_error(self, rng):
+        # a training step that drops but is given no generator names the
+        # missing generator instead of failing on None inside dropout
+        cfg, params, ids, targets = small_setup(rng)
+        cfg = ModelConfig(**{**cfg.to_dict(), "dropout": 0.2})
+        with pytest.raises(ValueError, match="needs a random generator") as info:
+            loss_and_grads(params, cfg, ids, targets, 0.0)
+        assert len(str(info.value).splitlines()) == 1
+
     def test_chunked_batch_matches_one_chunk(self, monkeypatch):
         """A 300-row batch at N=50, D=64 runs as five chunks of 60 rows;
         with dropout off, it matches the batch run as one chunk
