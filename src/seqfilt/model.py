@@ -27,9 +27,11 @@ Training and live prediction norm the rows of the batch's distinct ids
 path is the reference the frozen one is checked against.
 
 Every example is encoded apart, so `predict_scores_batch` scores a batch
-that `nn.batch_chunks` splits chunk by chunk on the pool of `seqfilt.nn`,
-with the same bits on one thread as on two.  Chunks are sized by the
-forward flops of an example (`example_flops`).
+that `nn.batch_chunks` splits chunk by chunk on the pool of `seqfilt.nn`:
+each chunk's job writes its rows of the one score array, and the batch
+is done once the `nn.run_chunks` iterator is drained, with the same bits
+on one thread as on two.  Chunks are sized by the forward flops of an
+example (`example_flops`).
 
 Parameters live in a flat dict of float64 arrays so the optimizer and the
 gradient checks can treat every group uniformly.  Forward passes return

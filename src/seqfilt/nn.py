@@ -19,25 +19,25 @@ cached x_hat; the GELU and dropout backwards leave their caches as they are.
 
 Threads.  The encoder and the head treat each example of a batch apart,
 so a batch is what gets shared out, not a kernel: `batch_chunks` cuts a
-batch into chunks that each hold at least _SPLIT_MIN forward flops, two
-halves of a batch of up to 64 examples or chunks of 64 or more examples
-of a larger one, and `run_chunks` runs a job per chunk on a pool of
-min(2, usable CPUs) threads, the caller and one worker, which claim
-chunks from a shared counter.  The worker is the one thread of a
-standard-library `ThreadPoolExecutor`, started by the first chunked
-batch; a forked child makes a fresh executor, since it inherits no
-threads.  The caller cancels the worker's task if the worker has not
-started it by the time the chunks ran out, and else waits for it.
-`train.loss_and_grads` runs the forward pass, the head, the softmax and
-the backward pass of each chunk, and `model.predict_scores_batch`
-scores each chunk, for its callers and for `evaluation.evaluate`; both
-size their chunks by `model.example_flops`, and a chunk's job never
-splits its rows again.  The filter operators and their backward,
-Adam and the orthogonality penalty run once per batch in the caller.
-A batch with too little work for two chunks (batch-1 prediction, the
-small models' steps) runs whole in the caller's thread, with no handoff.
-A chunk computes the same bits on either thread and results are summed
-in chunk order, so nothing depends on the pool size.  BLAS keeps its own
+batch into even chunks that each hold at least _SPLIT_MIN forward
+flops, of at most 64 examples where that floor allows, and `run_chunks`
+runs a job per chunk on a pool of min(2, usable CPUs) threads, the
+caller and one worker, which claim chunks from a shared counter, and
+yields the jobs' results in chunk order.  The worker is the one thread of a standard-library
+`ThreadPoolExecutor`, started by the first chunked batch; a forked
+child makes a fresh executor, since it inherits no threads.  The caller
+cancels the worker's task if the worker has not started it by the time
+the chunks ran out, and else waits for it.  `train.loss_and_grads` runs
+the forward pass, the head, the softmax and the backward pass of each
+chunk and sums the results, and `model.predict_scores_batch` scores
+each chunk, for its callers and for `evaluation.evaluate`; both size
+their chunks by `model.example_flops`, and a chunk's job never splits
+its rows again.  The filter operators and their backward, Adam and the
+orthogonality penalty run once per batch in the caller.  A batch with
+too little work for two chunks (batch-1 prediction, the small models'
+steps) runs whole in the caller's thread, with no handoff.  A chunk
+computes the same bits on either thread and its results come back in
+chunk order, so nothing depends on the pool size.  BLAS keeps its own
 threads.
 
 Each training step allocates and frees hundreds of MB of such
@@ -201,6 +201,11 @@ def run_chunks(job, count):
     wait; a consumer that stops early stops the worker the same way.
     Each chunk computes the same bits on either thread, so results do not
     depend on the pool size."""
+    if count < 2 or _WORKERS < 2:
+        # no handoff, and none of its bookkeeping, which would cost a
+        # batch-1 prediction a few percent
+        yield from map(job, range(count))
+        return
     claim = itertools.count()
     results = [_PENDING] * count
     errors = []
@@ -218,7 +223,7 @@ def run_chunks(job, count):
             errors.append(exc)
 
     try:
-        remote = _pool.submit(list, drain()) if count > 1 and _WORKERS > 1 else None
+        remote = _pool.submit(list, drain())  # the worker runs drain() to its end
     except RuntimeError:
         # the interpreter is shutting down, as for a thread still running
         # once the main thread has ended: the caller runs every index
@@ -242,7 +247,7 @@ def run_chunks(job, count):
         del results[:], errors[:]
     if failed:
         raise failed.pop()
-    while rest:
+    while rest:  # popped, so each result goes once its consumer is done
         yield rest.pop(0)
 
 

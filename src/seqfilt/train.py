@@ -6,10 +6,11 @@ loss reads only the encoder's final position (`model_forward` returns
 it as (B, D)), so the last block is computed for that position alone.
 Examples are independent up to the loss, so a batch with enough work
 (`nn.batch_chunks`) runs as chunks of examples on the pool of
-`seqfilt.nn`; the filter operators and their backward, Adam and the
-orthogonality penalty run once per batch.  A non-finite loss raises
-`NumericError` naming the epoch, the batch and the first non-finite
-parameter group."""
+`seqfilt.nn`, whose CE and gradients `nn.run_chunks` hands back in
+chunk order to be summed in a plain loop; the filter operators and
+their backward, Adam and the orthogonality penalty run once per batch.
+A non-finite loss raises `NumericError` naming the epoch, the batch and
+the first non-finite parameter group."""
 
 from __future__ import annotations
 
