@@ -2,10 +2,11 @@
 
 Every run directory gets a manifest recording the full configuration,
 the seed, and a checksum of the input data, so a run can be reproduced
-bit-for-bit on the same machine.  Every file a command writes goes
-through `model.atomic_open`, so a write that fails leaves the previous
-file as it was.  Exit codes: 0 success, 1 usage error, 2 data error,
-3 numeric failure.
+bit-for-bit on the same machine at the same BLAS thread count, which the
+manifest records.  Every file a command writes goes through
+`model.atomic_open`, so a write that fails leaves the previous file as
+it was.  Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -230,18 +231,12 @@ def cmd_eval(args) -> int:
     data_path = Path(args.data)
     if not data_path.exists():
         raise DataError(f"data file {data_path} does not exist")
-    if meta.get("data_sha256") and meta["data_sha256"] != _sha256(data_path):
+    if "data_sha256" in meta and meta["data_sha256"] != _sha256(data_path):
         raise DataError(
             "checkpoint was trained on different data (sha256 mismatch); "
             "pass the original file"
         )
-    min_interactions = meta.get("min_interactions", 5)
-    if type(min_interactions) is not int:
-        raise CheckpointError(
-            f"{args.checkpoint}: meta min_interactions must be an integer, "
-            f"got {min_interactions!r}"
-        )
-    corpus = load_corpus(data_path, min_interactions=min_interactions)
+    corpus = load_corpus(data_path, min_interactions=meta.get("min_interactions", 5))
     if corpus.num_items != cfg.num_items:
         raise CheckpointError(
             f"checkpoint expects {cfg.num_items} items, corpus has {corpus.num_items}"
@@ -278,6 +273,8 @@ def cmd_bench(args) -> int:
         raise CliUsageError(f"--repeats must be >= 1, got {args.repeats}")
     if args.batch < 1:
         raise CliUsageError(f"--batch must be >= 1, got {args.batch}")
+    if args.seed < 0:
+        raise CliUsageError(f"--seed must be >= 0, got {args.seed}")
     params, cfg, _ = load_checkpoint(args.checkpoint)
     out = _prepare_out_dir(args.out, args.force)
     rng = np.random.default_rng(args.seed)

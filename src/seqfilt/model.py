@@ -54,8 +54,10 @@ keeps no cache: each block's is dropped as soon as the block returns.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -575,31 +577,60 @@ def atomic_open(path, mode="wb", **kwargs):
         raise
 
 
+def _layout(shapes):
+    """The manifest and data size of float64 arrays of these shapes laid
+    back to back in sorted key order: the one layout a checkpoint has."""
+    manifest, offset = {}, 0
+    for key in sorted(shapes):
+        manifest[key] = {"shape": list(shapes[key]), "offset": offset}
+        offset += 8 * math.prod(shapes[key])
+    return manifest, offset
+
+
+# what each meta key that `seqfilt train` writes must hold; an integer is
+# one JSON can hold, not a bool; other keys pass through unchecked
+_SHA256 = re.compile("[0-9a-f]{64}")
+_META = {
+    "data_sha256": ("a sha256 hex digest", lambda v: isinstance(v, str) and _SHA256.fullmatch(v)),
+    "min_interactions": ("an integer", lambda v: type(v) is int),
+    "seed": ("a non-negative integer", lambda v: type(v) is int and v >= 0),
+    "alpha": (
+        "a finite number >= 0",
+        lambda v: (type(v) is int or isinstance(v, float)) and 0 <= v < math.inf,
+    ),
+}
+
+
+def _check_meta(meta) -> None:
+    if not isinstance(meta, dict):
+        raise TypeError(f"meta is {type(meta).__name__}, not an object")
+    for key, (what, ok) in _META.items():
+        if key in meta and not ok(meta[key]):
+            raise ValueError(f"meta {key} must be {what}, got {meta[key]!r}")
+
+
 def save_checkpoint(path, params, cfg: ModelConfig, meta=None) -> None:
-    keys = sorted(params)
-    manifest = {}
-    offset = 0
-    for key in keys:
-        arr = params[key]
-        manifest[key] = {"shape": list(arr.shape), "offset": offset}
-        offset += arr.size * 8
+    meta = meta or {}
+    _check_meta(meta)
+    manifest, total_bytes = _layout({key: arr.shape for key, arr in params.items()})
     header = {
         "config": cfg.to_dict(),
         "manifest": manifest,
-        "meta": meta or {},
-        "total_bytes": offset,
+        "meta": meta,
+        "total_bytes": total_bytes,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with atomic_open(path) as fh:
         fh.write(_MAGIC)
         fh.write(f"{len(blob)}\n".encode("ascii"))
         fh.write(blob)
-        for key in keys:
+        for key in manifest:
             fh.write(np.ascontiguousarray(params[key], dtype="<f8").tobytes())
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back; returns (params, config, meta), bit-exact."""
+    """Read a checkpoint back; returns (params, config, meta), bit-exact.
+    The header must hold the layout its config implies and a valid meta."""
     with open(path, "rb") as fh:
         magic = fh.readline()
         if magic != _MAGIC:
@@ -615,35 +646,26 @@ def load_checkpoint(path):
         raw = fh.read()
     try:
         cfg = ModelConfig.from_dict(header["config"])
-        total_bytes = header["total_bytes"]
-        entries = {
-            key: (tuple(entry["shape"]), int(entry["offset"]))
-            for key, entry in header["manifest"].items()
-        }
+        manifest, total_bytes = _layout(param_shapes(cfg))
+        entries = header["manifest"]
+        # compared as JSON text, in which 0, 0.0 and false differ
+        for key in sorted(manifest.keys() | entries.keys()):
+            got, want = (json.dumps(d.get(key), sort_keys=True) for d in (entries, manifest))
+            if got != want:
+                raise ValueError(f"manifest entry {key!r} is {got}, its config's layout has {want}")
+        if json.dumps(header["total_bytes"]) != str(total_bytes):
+            raise ValueError(f"total_bytes is {header['total_bytes']!r}, its layout has {total_bytes}")
         meta = header.get("meta", {})
-        if not isinstance(meta, dict):
-            raise TypeError(f"meta is {type(meta).__name__}, not an object")
+        _check_meta(meta)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from exc
     if len(raw) != total_bytes:
         raise CheckpointError(
             f"{path}: expected {total_bytes} data bytes, got {len(raw)}"
         )
-    expected = param_shapes(cfg)
-    if entries.keys() != expected.keys():
-        missing = sorted(expected.keys() - entries.keys())
-        unknown = sorted(entries.keys() - expected.keys())
-        raise CheckpointError(f"{path}: parameters missing {missing}, unknown {unknown}")
+    data = np.frombuffer(raw, dtype="<f8")
     params = {}
-    for key, (shape, start) in entries.items():
-        if shape != expected[key]:
-            raise CheckpointError(
-                f"{path}: array {key!r} has shape {list(shape)}, "
-                f"the config needs {list(expected[key])}"
-            )
-        size = int(np.prod(shape))
-        if not 0 <= start <= len(raw) - 8 * size:
-            raise CheckpointError(f"{path}: array {key!r} lies outside the data")
-        arr = np.frombuffer(raw, dtype="<f8", count=size, offset=start)
-        params[key] = arr.reshape(shape).astype(np.float64, copy=True)
+    for key, entry in manifest.items():
+        start, shape = entry["offset"] // 8, entry["shape"]
+        params[key] = data[start:start + math.prod(shape)].reshape(shape).astype(np.float64)
     return params, cfg, meta

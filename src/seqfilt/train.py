@@ -52,6 +52,8 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch size must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

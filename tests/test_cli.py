@@ -127,10 +127,11 @@ class TestTrain:
             ["--lr", "inf"],
             ["--alpha", "nan"],
             ["--alpha", "inf"],
+            ["--seed", "-1"],
         ],
         ids=[
             "max-len-0", "m-above-max-len", "epochs-0", "negative-lr", "dropout-1.0",
-            "lr-nan", "lr-inf", "alpha-nan", "alpha-inf",
+            "lr-nan", "lr-inf", "alpha-nan", "alpha-inf", "negative-seed",
         ],
     )
     def test_invalid_config_is_usage_error(self, tmp_path, corpus_file, capsys, flags):
@@ -424,6 +425,72 @@ def test_non_utf8_data_is_data_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+# One generated table of bad header values: two manifest entries' fields
+# (`block0_b1` lies at offset 0, `emb_ln_g` last), total_bytes and every
+# meta key `seqfilt train` writes, each crossed with every kind of bad
+# value.  A kind is a function of the field's current value and of
+# another entry's offset.
+HEADER_FIELDS = [
+    ("manifest", "block0_b1", "shape"),
+    ("manifest", "block0_b1", "offset"),
+    ("manifest", "emb_ln_g", "shape"),
+    ("manifest", "emb_ln_g", "offset"),
+    ("total_bytes",),
+    ("meta", "data_sha256"),
+    ("meta", "min_interactions"),
+    ("meta", "seed"),
+    ("meta", "alpha"),
+]
+BAD_VALUES = {
+    "wrong-type": lambda current, offset: {"x": 1},
+    "null": lambda current, offset: None,
+    "nan": lambda current, offset: float("nan"),
+    "inf": lambda current, offset: float("inf"),
+    "-inf": lambda current, offset: float("-inf"),
+    "negative": lambda current, offset: -1,
+    "empty": lambda current, offset: "",
+    "huge": lambda current, offset: 2**64,
+    # false where the value is 0, which Python's 0 == False would pass
+    "bool": lambda current, offset: bool(current),
+    "numeric-string": lambda current, offset: str(
+        current if isinstance(current, (int, float)) else offset
+    ),
+    # for `emb_ln_g`'s offset: an alias of `emb_ln_b`, in bounds
+    "other-offset": lambda current, offset: offset,
+}
+# cells whose value the meta table accepts: any integer is a
+# min_interactions, and a seed or an alpha has no upper bound
+IN_RANGE = {
+    (("meta", "min_interactions"), "negative"),
+    (("meta", "min_interactions"), "huge"),
+    (("meta", "min_interactions"), "other-offset"),
+    (("meta", "seed"), "huge"),
+    (("meta", "seed"), "other-offset"),
+    (("meta", "alpha"), "huge"),
+    (("meta", "alpha"), "other-offset"),
+}
+HEADER_CELLS = [
+    (field, kind, command)
+    for field in HEADER_FIELDS
+    for kind in BAD_VALUES
+    for command in ("eval", "export-filters", "bench")
+]
+
+
+def cell_id(value):
+    return ".".join(value) if isinstance(value, tuple) else value
+
+
+def set_field(header, field, kind):
+    """Give `header` the `kind` value at the key path `field`; returns it."""
+    *path, last = field
+    node = header
+    for key in path:
+        node = node[key]
+    node[last] = BAD_VALUES[kind](node[last], header["manifest"]["emb_ln_b"]["offset"])
+    return node[last]
+
+
 class TestBrokenCheckpoint:
     @pytest.mark.parametrize("command", ["eval", "export-filters", "bench"])
     @pytest.mark.parametrize(
@@ -474,6 +541,37 @@ class TestBrokenCheckpoint:
         assert code == cli.EXIT_DATA
         assert_one_line_error(capsys)
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("field", "kind", "command"),
+        [cell for cell in HEADER_CELLS if cell[:2] not in IN_RANGE],
+        ids=cell_id,
+    )
+    def test_bad_header_value_is_data_error(
+        self, tmp_path, corpus_file, run_dir, capsys, field, kind, command
+    ):
+        ckpt = tmp_path / "checkpoint.bin"
+        ckpt.write_bytes((run_dir / "checkpoint.bin").read_bytes())
+        rewrite_header(ckpt, lambda header: set_field(header, field, kind))
+        name = field[1] if field[0] == "manifest" else field[-1]
+        with pytest.raises(CheckpointError, match=name):
+            load_checkpoint(ckpt)
+        out = tmp_path / "out"
+        extra = ["--data", str(corpus_file)] if command == "eval" else []
+        code = cli.main([command, "--checkpoint", str(ckpt), "--out", str(out), *extra])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err and name in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(("field", "kind"), sorted(IN_RANGE), ids=cell_id)
+    def test_in_range_meta_value_loads(self, tmp_path, run_dir, field, kind):
+        ckpt = tmp_path / "checkpoint.bin"
+        ckpt.write_bytes((run_dir / "checkpoint.bin").read_bytes())
+        values = []
+        rewrite_header(ckpt, lambda header: values.append(set_field(header, field, kind)))
+        meta = load_checkpoint(ckpt)[2]
+        assert meta[field[-1]] == values[0] and type(meta[field[-1]]) is type(values[0])
 
     @pytest.mark.parametrize("command", ["eval", "export-filters", "bench"])
     def test_bad_magic_leaves_no_output(self, tmp_path, corpus_file, capsys, command):
@@ -584,3 +682,15 @@ class TestBench:
         )
         assert code == cli.EXIT_USAGE
         assert_one_line_error(capsys)
+
+    def test_negative_seed_rejected(self, tmp_path, run_dir, capsys):
+        out = tmp_path / "x"
+        code = cli.main(
+            [
+                "bench", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                "--seed", "-1", "--out", str(out),
+            ]
+        )
+        assert code == cli.EXIT_USAGE
+        assert_one_line_error(capsys)
+        assert not out.exists()

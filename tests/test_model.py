@@ -1,6 +1,8 @@
 """Encoder-level tests: filter construction, causality through the stack,
 frozen-operator equivalence, parameter counting, checkpoint round trips."""
 
+import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -486,6 +488,37 @@ class TestCheckpoint:
         for key in params:
             assert np.array_equal(loaded[key], params[key])
             assert loaded[key].dtype == np.float64
+
+    def test_v1_format_spelled_out(self, tmp_path, rng):
+        # the on-disk format, spelled out apart from `save_checkpoint`: the
+        # magic line, the header length, a sorted-key JSON header with
+        # contiguous offsets, then little-endian float64 in sorted key order
+        cfg = tiny_config(num_items=3, max_len=2, dim=2, num_bases=1, filter_order=1)
+        params = mdl.init_params(cfg, rng)
+        manifest, data = {}, b""
+        for key in sorted(params):
+            values = params[key].ravel().tolist()
+            manifest[key] = {"offset": len(data), "shape": list(params[key].shape)}
+            data += struct.pack(f"<{len(values)}d", *values)
+        config = {
+            "dim": 2, "dropout": 0.0, "filter_mode": "causal", "filter_order": 1,
+            "layers": 1, "max_len": 2, "num_bases": 1, "num_items": 3,
+        }
+        meta = {"alpha": 0.5, "data_sha256": "0f" * 32, "min_interactions": 5, "seed": 7}
+        header = {"config": config, "manifest": manifest, "meta": meta, "total_bytes": len(data)}
+        blob = json.dumps(header, sort_keys=True, separators=(", ", ": ")).encode("utf-8")
+        spelled = b"SEQFILT-CKPT-V1\n" + b"%d\n" % len(blob) + blob + data
+
+        saved = tmp_path / "saved.bin"
+        mdl.save_checkpoint(saved, params, cfg, meta=meta)
+        assert saved.read_bytes() == spelled
+        by_hand = tmp_path / "by_hand.bin"
+        by_hand.write_bytes(spelled)
+        loaded, cfg2, meta2 = mdl.load_checkpoint(by_hand)
+        assert cfg2 == cfg and meta2 == meta
+        assert loaded.keys() == params.keys()
+        for key, want in params.items():
+            assert loaded[key].shape == want.shape and loaded[key].tobytes() == want.tobytes()
 
     def test_double_save_identical_bytes(self, tmp_path, rng):
         cfg = tiny_config()
