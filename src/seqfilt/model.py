@@ -33,9 +33,10 @@ is done once the `nn.run_chunks` iterator is drained, with the same bits
 on one thread as on two.  Chunks are sized by the forward flops of an
 example (`example_flops`).
 
-Parameters live in a flat dict of float64 arrays so the optimizer and the
-gradient checks can treat every group uniformly.  Forward passes return
-caches that the matching backward passes consume; there is no tape.
+Parameters are a dict of float64 arrays that are views of one vector
+laid out as a checkpoint's data section (`nn.flat_views`); an entry is
+written through (`params[key][...] = x`), never rebound.  Forward passes
+return caches that the matching backward passes consume; there is no tape.
 Each backward pass returns the gradients of its own groups.
 
 Memory.  A block drops each forward transient once it is dead, and its
@@ -73,6 +74,8 @@ from .nn import (
     batch_chunks,
     dropout,
     dropout_backward,
+    flat_views,
+    flatten,
     gelu,
     gelu_backward,
     layer_norm,
@@ -196,14 +199,14 @@ def param_shapes(cfg: ModelConfig) -> dict:
 
 
 def init_params(cfg: ModelConfig, rng) -> dict:
-    """Fresh parameter dict: matrices ~ N(0, 0.02); vectors 0, except the
-    layer-norm scales (`*_g`), which are 1."""
-    params = {}
-    for key, shape in param_shapes(cfg).items():
-        if len(shape) == 2:
-            params[key] = rng.normal(0.0, 0.02, size=shape)
+    """Fresh parameter views, drawn in `param_shapes` order: matrices ~
+    N(0, 0.02); vectors 0, except the layer-norm scales (`*_g`), which are 1."""
+    params = flat_views(param_shapes(cfg))
+    for key, value in params.items():
+        if value.ndim == 2:
+            value[...] = rng.normal(0.0, 0.02, size=value.shape)
         else:
-            params[key] = np.ones(shape) if key.endswith("_g") else np.zeros(shape)
+            value[...] = 1.0 if key.endswith("_g") else 0.0
     return params
 
 
@@ -587,6 +590,17 @@ def _layout(shapes):
     return manifest, offset
 
 
+def _check_layout(manifest, cfg):
+    """`cfg`'s layout, if `manifest` is its manifest as JSON text (in which
+    0, 0.0 and false differ); else ValueError names the first key that differs."""
+    want, total_bytes = _layout(param_shapes(cfg))
+    for key in sorted(want.keys() | manifest.keys()):
+        got, expect = (json.dumps(d.get(key), sort_keys=True) for d in (manifest, want))
+        if got != expect:
+            raise ValueError(f"manifest entry {key!r} is {got}, its config's layout has {expect}")
+    return want, total_bytes
+
+
 # what each meta key that `seqfilt train` writes must hold; an integer is
 # one JSON can hold, not a bool; other keys pass through unchecked
 _SHA256 = re.compile("[0-9a-f]{64}")
@@ -610,9 +624,12 @@ def _check_meta(meta) -> None:
 
 
 def save_checkpoint(path, params, cfg: ModelConfig, meta=None) -> None:
+    """Write `params` and their vector; their layout must be `cfg`'s, or no
+    file is opened."""
     meta = meta or {}
     _check_meta(meta)
-    manifest, total_bytes = _layout({key: arr.shape for key, arr in params.items()})
+    shapes = {key: np.shape(value) for key, value in params.items()}
+    manifest, total_bytes = _check_layout(_layout(shapes)[0], cfg)
     header = {
         "config": cfg.to_dict(),
         "manifest": manifest,
@@ -624,13 +641,13 @@ def save_checkpoint(path, params, cfg: ModelConfig, meta=None) -> None:
         fh.write(_MAGIC)
         fh.write(f"{len(blob)}\n".encode("ascii"))
         fh.write(blob)
-        for key in manifest:
-            fh.write(np.ascontiguousarray(params[key], dtype="<f8").tobytes())
+        fh.write(flatten(params).astype("<f8", copy=False))
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back; returns (params, config, meta), bit-exact.
-    The header must hold the layout its config implies and a valid meta."""
+    """Read a checkpoint back; returns (params, config, meta), bit-exact,
+    params as views of a copy of the data.  The header must hold the
+    layout its config implies and a valid meta."""
     with open(path, "rb") as fh:
         magic = fh.readline()
         if magic != _MAGIC:
@@ -646,13 +663,7 @@ def load_checkpoint(path):
         raw = fh.read()
     try:
         cfg = ModelConfig.from_dict(header["config"])
-        manifest, total_bytes = _layout(param_shapes(cfg))
-        entries = header["manifest"]
-        # compared as JSON text, in which 0, 0.0 and false differ
-        for key in sorted(manifest.keys() | entries.keys()):
-            got, want = (json.dumps(d.get(key), sort_keys=True) for d in (entries, manifest))
-            if got != want:
-                raise ValueError(f"manifest entry {key!r} is {got}, its config's layout has {want}")
+        manifest, total_bytes = _check_layout(header["manifest"], cfg)
         if json.dumps(header["total_bytes"]) != str(total_bytes):
             raise ValueError(f"total_bytes is {header['total_bytes']!r}, its layout has {total_bytes}")
         meta = header.get("meta", {})
@@ -663,9 +674,5 @@ def load_checkpoint(path):
         raise CheckpointError(
             f"{path}: expected {total_bytes} data bytes, got {len(raw)}"
         )
-    data = np.frombuffer(raw, dtype="<f8")
-    params = {}
-    for key, entry in manifest.items():
-        start, shape = entry["offset"] // 8, entry["shape"]
-        params[key] = data[start:start + math.prod(shape)].reshape(shape).astype(np.float64)
+    params = flat_views(param_shapes(cfg), np.frombuffer(raw, dtype="<f8").astype(np.float64))
     return params, cfg, meta

@@ -47,8 +47,9 @@ which every `seqfilt` module does, sets one process-wide malloc policy
 to reuse, instead of going back to the OS and being faulted in and zeroed
 again page by page.
 
-The layer-norm epsilon and Adam's betas and epsilon are module
-constants, not parameters.
+Adam updates the one vector that every parameter group is a view of
+(`flat_views`) in one pass, with the same bits as group by group.  The
+layer-norm epsilon and Adam's betas and epsilon are module constants.
 """
 
 from __future__ import annotations
@@ -56,10 +57,11 @@ from __future__ import annotations
 import ctypes
 import functools
 import itertools
+import math
 import os
 import platform
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -81,6 +83,8 @@ __all__ = [
     "dropout_backward",
     "softmax_xent_batch",
     "ortho_penalty",
+    "flat_views",
+    "flatten",
     "AdamState",
     "adam_init",
     "adam_step",
@@ -414,30 +418,42 @@ def ortho_penalty(b_real, b_imag, alpha):
     return alpha * loss, grads[0], grads[1]
 
 
+def flat_views(shapes, flat=None) -> dict:
+    """Views of the float64 vector `flat` (a fresh one if None) for groups
+    of these shapes, back to back in sorted key order; keyed as `shapes`."""
+    sizes = {key: math.prod(shapes[key]) for key in sorted(shapes)}
+    flat = np.empty(sum(sizes.values())) if flat is None else flat
+    starts = dict(zip(sizes, itertools.accumulate(sizes.values(), initial=0)))
+    return {key: flat[starts[key]:starts[key] + sizes[key]].reshape(shape) for key, shape in shapes.items()}
+
+
+def flatten(params) -> np.ndarray:
+    """A fresh vector of `params`' groups, laid out as by `flat_views`."""
+    return np.concatenate([params[key] for key in sorted(params)], axis=None, dtype=np.float64)
+
+
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the shared step counter."""
+    """The vector every parameter group is a view of, its two moment
+    vectors and the shared step counter."""
 
     lr: float
+    flat: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
 
 
 def adam_init(params, lr) -> AdamState:
-    state = AdamState(lr=lr)
-    for key, value in params.items():
-        state.m[key] = np.zeros_like(value)
-        state.v[key] = np.zeros_like(value)
-    return state
+    """Adam state for `params`, whose entries are rebound to views of a
+    fresh vector (`flatten`); from then on, write an entry, never rebind it."""
+    flat = flatten(params)
+    params.update(flat_views({key: np.shape(value) for key, value in params.items()}, flat))
+    return AdamState(lr=lr, flat=flat, m=np.zeros_like(flat), v=np.zeros_like(flat))
 
 
 def adam_step(params, grads, state: AdamState) -> None:
-    """One bias-corrected Adam update, in place."""
-    state.step += 1
-    t = state.step
-    correct1 = 1.0 - _BETA1**t
-    correct2 = 1.0 - _BETA2**t
+    """One bias-corrected Adam update of the whole vector, in place."""
     for key, p in params.items():
         g = grads[key]
         if g.shape != p.shape:
@@ -445,10 +461,26 @@ def adam_step(params, grads, state: AdamState) -> None:
                 f"gradient shape {g.shape} does not match parameter "
                 f"{key} of shape {p.shape}"
             )
-        m = state.m[key]
-        v = state.v[key]
-        m *= _BETA1
-        m += (1.0 - _BETA1) * g
-        v *= _BETA2
-        v += (1.0 - _BETA2) * (g * g)
-        p -= state.lr * (m / correct1) / (np.sqrt(v / correct2) + _ADAM_EPS)
+        if p.base is not state.flat:
+            raise ValueError(f"parameter {key} was rebound after adam_init: write params[{key!r}][...]")
+    g = np.concatenate([grads[key] for key in sorted(params)], axis=None)
+    state.step += 1
+    t = state.step
+    correct1 = 1.0 - _BETA1**t
+    correct2 = 1.0 - _BETA2**t
+    # m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g²;  p -= lr (m/c1) / (sqrt(v/c2) + eps),
+    # operation by operation as written, in two buffers, g's and step's
+    m, v = state.m, state.v
+    m *= _BETA1
+    step = np.multiply(g, 1.0 - _BETA1)
+    m += step
+    v *= _BETA2
+    g *= g
+    g *= 1.0 - _BETA2
+    v += g
+    np.sqrt(np.divide(v, correct2, out=g), out=g)
+    g += _ADAM_EPS
+    np.divide(m, correct1, out=step)
+    step *= state.lr
+    step /= g
+    state.flat -= step

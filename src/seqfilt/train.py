@@ -9,8 +9,9 @@ Examples are independent up to the loss, so a batch with enough work
 `seqfilt.nn`, whose CE and gradients `nn.run_chunks` hands back in
 chunk order to be summed in a plain loop; the filter operators and
 their backward, Adam and the orthogonality penalty run once per batch.
-A non-finite loss raises `NumericError` naming the epoch, the batch and
-the first non-finite parameter group."""
+Adam updates the one parameter vector, which the best epoch's snapshot
+copies.  A non-finite loss raises `NumericError` naming the epoch, the
+batch and the first non-finite parameter group."""
 
 from __future__ import annotations
 
@@ -21,9 +22,9 @@ import numpy as np
 
 from .data import Corpus, DataError, make_batches, split_loo, train_examples
 from .evaluation import evaluate
-from .model import ModelConfig, atomic_open, block_key, filter_backward, filter_operators, init_params
+from .model import ModelConfig, atomic_open, block_key, filter_backward, filter_operators, init_params, param_shapes
 from .model import example_flops, model_backward, model_forward, score_logits
-from .nn import NumericError, adam_init, adam_step, batch_chunks, ortho_penalty, run_chunks, softmax_xent_batch
+from .nn import NumericError, adam_init, adam_step, batch_chunks, flat_views, ortho_penalty, run_chunks, softmax_xent_batch
 
 __all__ = [
     "TrainConfig",
@@ -115,7 +116,8 @@ def loss_and_grads(params, cfg: ModelConfig, ids, targets, alpha, rng=None):
         x_last, cache = model_forward(params, cfg, ids[chunks[i]], rngs[i], training=True, frozen_ops=ops)
         ce, d_logits = softmax_xent_batch(score_logits(params, x_last), targets[chunks[i]])
         share = len(x_last) / len(ids)
-        d_logits *= share
+        if share != 1.0:  # times 1.0 would change no bit
+            d_logits *= share
         d_emb = d_logits.T @ x_last
         dx = d_logits @ params["emb"]
         del d_logits  # (chunk, V+1): freed before the backward's peak
@@ -183,7 +185,7 @@ def fit(
     params = init_params(model_cfg, rng)
     state = adam_init(params, train_cfg.lr)
     log = TrainLog()
-    best_params = {k: v.copy() for k, v in params.items()}
+    best = state.flat.copy()
     best_ndcg = -np.inf
     stale = 0
     for epoch in range(1, train_cfg.epochs + 1):
@@ -210,13 +212,13 @@ def fit(
             on_epoch(log)
         if ndcg > best_ndcg:
             best_ndcg = ndcg
-            best_params = {k: v.copy() for k, v in params.items()}
+            best[...] = state.flat
             stale = 0
         else:
             stale += 1
             if stale >= train_cfg.patience:
                 break
-    return best_params, log
+    return flat_views(param_shapes(model_cfg), best), log
 
 
 def make_synthetic(num_users, num_items, seq_len, rng) -> Corpus:

@@ -529,17 +529,33 @@ class TestCheckpoint:
         mdl.save_checkpoint(b, params, cfg)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_failed_write_keeps_previous_file(self, tmp_path, rng):
+    def test_failed_write_keeps_previous_file(self, tmp_path, rng, monkeypatch):
         cfg = tiny_config()
         path = tmp_path / "checkpoint.bin"
-        mdl.save_checkpoint(path, mdl.init_params(cfg, rng), cfg)
+        params = mdl.init_params(cfg, rng)
+        mdl.save_checkpoint(path, params, cfg)
         before = path.read_bytes()
-        # the header goes out, then the unconvertible array fails the write
-        broken = {"emb": np.array(["not a number"], dtype=object)}
-        with pytest.raises(ValueError):
-            mdl.save_checkpoint(path, broken, cfg)
+
+        def disk_full(params):
+            raise OSError("no space left on device")
+
+        # the header goes out, then the data write fails
+        monkeypatch.setattr(mdl, "flatten", disk_full)
+        with pytest.raises(OSError, match="no space"):
+            mdl.save_checkpoint(path, params, cfg)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin"]
+
+    def test_save_rejects_params_of_another_config(self, tmp_path, rng):
+        # a 5-item model's table under a 6-item config: no file is written,
+        # since load_checkpoint would reject it
+        params = mdl.init_params(tiny_config(num_items=5), rng)
+        with pytest.raises(ValueError, match=r"'emb' is .*\[6, 8\].*its config's layout has .*\[7, 8\]"):
+            mdl.save_checkpoint(tmp_path / "checkpoint.bin", params, tiny_config(num_items=6))
+        del params["emb_ln_b"]
+        with pytest.raises(ValueError, match="'emb_ln_b' is null"):
+            mdl.save_checkpoint(tmp_path / "checkpoint.bin", params, tiny_config(num_items=5))
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -267,6 +267,11 @@ class TestOrthoPenalty:
         assert rel_err(gi, finite_diff(loss, bi)) <= 1e-5
 
 
+# the benchmark's two model shapes
+LONG_WINDOW = ModelConfig(num_items=685, max_len=50, dim=64, layers=2, num_bases=8)
+LONG_HISTORY = ModelConfig(num_items=294, max_len=10, dim=16, layers=1, num_bases=4)
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         params = {"w": np.array([1.0, -2.0])}
@@ -300,12 +305,46 @@ class TestAdam:
             nn.adam_step(params, {"w": np.ones(2)}, state)
             assert state.step == expected
 
+    def test_rebound_entry_is_rejected(self):
+        # adam_init packs the groups into one vector; an entry rebound
+        # after that would silently leave the vector Adam updates
+        params = {"a": np.zeros(3), "b": np.ones((2, 2))}
+        state = nn.adam_init(params, lr=0.1)
+        grads = {"a": np.ones(3), "b": np.ones((2, 2))}
+        params["b"][...] = 2.0  # written through the view: still packed
+        nn.adam_step(params, grads, state)
+        assert np.all(params["b"] < 2.0)
+        params["b"] = np.zeros((2, 2))
+        with pytest.raises(ValueError, match="parameter b "):
+            nn.adam_step(params, grads, state)
+
+    @pytest.mark.parametrize("cfg", [LONG_WINDOW, LONG_HISTORY], ids=["long-window", "long-history"])
+    def test_flat_update_equals_per_group(self, cfg):
+        rng = np.random.default_rng(5)
+        params = init_params(cfg, rng)
+        ref = {key: value.copy() for key, value in params.items()}
+        ref_m = {key: np.zeros_like(value) for key, value in ref.items()}
+        ref_v = {key: np.zeros_like(value) for key, value in ref.items()}
+        state = nn.adam_init(params, lr=3e-3)
+        for t in range(1, 21):
+            grads = {key: rng.normal(size=value.shape) for key, value in params.items()}
+            nn.adam_step(params, grads, state)
+            # Adam one group at a time, as it ran before the flat vector
+            for key, p in ref.items():
+                m, v, g = ref_m[key], ref_v[key], grads[key]
+                m *= 0.9
+                m += (1.0 - 0.9) * g
+                v *= 0.999
+                v += (1.0 - 0.999) * (g * g)
+                p -= 3e-3 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+        for key in ref:
+            assert np.array_equal(params[key], ref[key])
+        assert np.array_equal(state.m, nn.flatten(ref_m))
+        assert np.array_equal(state.v, nn.flatten(ref_v))
+
 
 CHUNKS = 8  # jobs per run_chunks call in the race tests
 N, D, L = 16, 64, 2  # with 300 examples, five chunks of 60
-# the benchmark's two model shapes
-LONG_WINDOW = ModelConfig(num_items=685, max_len=50, dim=64, layers=2, num_bases=8)
-LONG_HISTORY = ModelConfig(num_items=294, max_len=10, dim=16, layers=1, num_bases=4)
 
 
 def _model():
