@@ -1,7 +1,8 @@
 """Interaction-log loading, leave-one-out splitting, and batching.
 
 The input format is one user per line: a user id followed by that user's
-item ids in chronological order, all space-separated positive integers.
+item ids in chronological order, as ASCII decimal integers separated by
+ASCII whitespace; item ids are positive (see `load_corpus`).
 Items are remapped to a dense 1..V range (0 is reserved for padding) and
 the mapping is kept so it can be persisted beside checkpoints.
 
@@ -93,52 +94,105 @@ class Split:
 
 
 def load_corpus(path, min_interactions: int = 5) -> Corpus:
+    """Read an interaction file: one user per line, a user id and then the
+    user's item ids, every id an ASCII decimal integer of at most 18
+    digits, separated by ASCII whitespace; blank lines are skipped and
+    lines end in "\\n", "\\r\\n" or "\\r".  Raises `DataError` naming the
+    first bad line as `path:line`; on one line a malformed token comes
+    before an item id < 1, which comes before a repeated user."""
     min_keep = max(3, min_interactions)
-    raw = {}
-    order = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                fields = line.split()
-                try:
-                    values = [int(tok) for tok in fields]
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: non-integer token") from exc
-                user, items = values[0], values[1:]
-                if any(item < 1 for item in items):
-                    raise DataError(f"{path}:{lineno}: item ids must be >= 1")
-                if user in raw:
-                    raise DataError(f"{path}:{lineno}: duplicate user {user}")
-                raw[user] = items
-                order.append(user)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    if not raw:
-        raise DataError(f"{path}: empty corpus")
-
-    kept = [u for u in order if len(raw[u]) >= min_keep]
-    dropped = len(order) - len(kept)
-    if not kept:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    users, counts, items = _parse(raw, path)
+    keep = counts >= min_keep
+    if not keep.any():
         raise DataError(
             f"{path}: no user has >= {min_keep} interactions; nothing to model"
         )
-    distinct = sorted({item for u in kept for item in raw[u]})
-    item_map = {orig: idx for idx, orig in enumerate(distinct, start=1)}
-    sequences = [[item_map[item] for item in raw[u]] for u in kept]
-    interactions = sum(len(s) for s in sequences)
+    distinct, dense = np.unique(items[np.repeat(keep, counts)], return_inverse=True)
+    flat = (dense + 1).tolist()
+    bounds = np.cumsum(counts[keep]).tolist()
+    sequences = [flat[lo:hi] for lo, hi in zip([0, *bounds], bounds)]
+    kept = users[keep].tolist()
+    num_items = len(distinct)
     report = LoadReport(
         num_users=len(kept),
-        num_items=len(distinct),
-        num_interactions=interactions,
-        avg_length=interactions / len(kept),
-        sparsity=1.0 - interactions / (len(kept) * len(distinct)),
-        dropped_users=dropped,
+        num_items=num_items,
+        num_interactions=len(flat),
+        avg_length=len(flat) / len(kept),
+        sparsity=1.0 - len(flat) / (len(kept) * num_items),
+        dropped_users=len(users) - len(kept),
         min_interactions=min_interactions,
     )
-    return Corpus(kept, sequences, len(distinct), item_map, report)
+    item_map = dict(zip(distinct.tolist(), range(1, num_items + 1)))
+    return Corpus(kept, sequences, num_items, item_map, report)
+
+
+# ids of at most 18 digits stay below 10**18 < 2**63, so int64 holds them
+_MAX_DIGITS = 18
+
+
+def _parse(raw, path):
+    """The user ids, item counts and item ids of the lines in `raw`, in
+    file order, as int64 arrays; raises `DataError` for the first bad line.
+
+    Tokens and line breaks are found by array passes over the bytes.  Only
+    the tokens on lines before the first malformed token are parsed, so an
+    earlier line's item 0 or repeated user is still the error reported."""
+    text = np.frombuffer(raw, dtype=np.uint8)
+    # ASCII whitespace, as `bytes.split` has it: " \t\n\v\f\r"
+    space = (text == 32) | ((text >= 9) & (text <= 13))
+    # universal newlines: every "\r" ends a line, and so does a "\n" that
+    # does not follow one
+    newline = text == 10
+    newline[1:] &= text[:-1] != 13
+    breaks = np.flatnonzero(newline | (text == 13))
+    edges = np.flatnonzero(np.diff(~space, prepend=False, append=False))
+    starts, stops = edges[::2], edges[1::2]
+
+    def line_of(offset):  # 0-based
+        return int(np.searchsorted(breaks, offset))
+
+    errors = []  # (line, rank on that line, reason)
+    wrong = np.flatnonzero(~space & ((text < 48) | (text > 57)))
+    if wrong.size:
+        at = line_of(wrong[0])
+        try:  # every byte before wrong[0] is ASCII
+            raw[wrong[0] : breaks[at] if at < len(breaks) else None].decode("utf-8")
+            errors.append((at, 0, "non-integer token"))
+        except UnicodeDecodeError as exc:
+            errors.append((at, 0, f"not UTF-8 text ({exc.reason})"))
+    long = np.flatnonzero(stops - starts > _MAX_DIGITS)
+    if long.size:
+        errors.append((line_of(starts[long[0]]), 1, f"id longer than {_MAX_DIGITS} digits"))
+    if errors:  # keep the tokens on the lines before the first bad one
+        at = min(errors)[0]
+        cut = np.searchsorted(starts, breaks[at - 1]) if at else 0
+        starts, stops = starts[:cut], stops[:cut]
+    values = np.fromstring(raw[starts[0] : stops[-1]] if len(starts) else b"", dtype=np.int64, sep=" ")
+    # a line's first token is its user
+    head = np.zeros(len(starts), dtype=bool)
+    after = np.searchsorted(starts, breaks)
+    head[after[after < len(starts)]] = True
+    head[:1] = True
+    zero = np.flatnonzero((values == 0) & ~head)
+    if zero.size:
+        errors.append((line_of(starts[zero[0]]), 2, "item ids must be >= 1"))
+    heads = np.flatnonzero(head)
+    users = values[heads]
+    _, first = np.unique(users, return_index=True)
+    if len(first) < len(users):
+        again = np.ones(len(users), dtype=bool)
+        again[first] = False
+        dup = int(np.argmax(again))
+        errors.append((line_of(starts[heads[dup]]), 3, f"duplicate user {users[dup]}"))
+    if errors:
+        at, _, reason = min(errors)
+        raise DataError(f"{path}:{at + 1}: {reason}")
+    if not users.size:
+        raise DataError(f"{path}: empty corpus")
+    counts = np.diff(heads, append=len(values)) - 1
+    return users, counts, values[~head]
 
 
 def split_loo(corpus: Corpus) -> Split:

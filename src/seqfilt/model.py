@@ -204,7 +204,8 @@ def init_params(cfg: ModelConfig, rng) -> dict:
     params = flat_views(param_shapes(cfg))
     for key, value in params.items():
         if value.ndim == 2:
-            value[...] = rng.normal(0.0, 0.02, size=value.shape)
+            rng.standard_normal(out=value)
+            value *= 0.02
         else:
             value[...] = 1.0 if key.endswith("_g") else 0.0
     return params

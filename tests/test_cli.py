@@ -406,10 +406,29 @@ class TestEval:
         assert not out.exists()
 
 
+# One table of data files the grammar rejects, each with the line that
+# must be named: ids are ASCII decimal integers of at most 18 digits,
+# separated by ASCII whitespace, items >= 1, each user on one line
+BAD_DATA = {
+    "non-digit": (b"1 4 5 6\n2 4 x 6\n", 2),
+    "plus-sign": (b"1 4 5 6\n2 4 +5 6\n", 2),
+    "negative-user": (b"1 4 5 6\n\n-3 4 5 6\n", 3),
+    "underscore": (b"1 4 1_000 6\n2 4 5 6\n", 1),
+    "non-ascii-digit": ("1 4 5 6\n2 4 \u0665 6\n".encode(), 2),
+    "non-ascii-space": ("1 4 5 6\r\n2 4\u00a05 6\r\n".encode(), 2),
+    "19-digit-id": (b"1 4 5 6\n2 4 1000000000000000000 6\n", 2),
+    "item-zero": (b"1 4 5 6\n2 4 0 6\n", 2),
+    "duplicate-user": (b"1 4 5 6\n2 4 5 6\r1 4 5 6\n", 3),
+    "non-utf8": (b"1 \xff\xfe 2 3 4 5\n2 1 2 3 4 5\n", 1),
+}
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
-def test_non_utf8_data_is_data_error(tmp_path, capsys, command):
-    data = tmp_path / "latin.txt"
-    data.write_bytes(b"1 \xff\xfe 2 3 4 5\n2 1 2 3 4 5\n")
+@pytest.mark.parametrize("case", sorted(BAD_DATA))
+def test_bad_data_file_is_one_line_data_error(tmp_path, capsys, command, case):
+    text, line = BAD_DATA[case]
+    data = tmp_path / "data.txt"
+    data.write_bytes(text)
     out = tmp_path / "out"
     if command == "train":
         argv = ["train", "--data", str(data), "--out", str(out), *TRAIN_FLAGS]
@@ -420,7 +439,7 @@ def test_non_utf8_data_is_data_error(tmp_path, capsys, command):
         argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_DATA
     err = capsys.readouterr().err
-    assert "latin.txt: not UTF-8 text" in err
+    assert err.startswith(f"data error: {data}:{line}: "), err
     assert err.count("\n") == 1 and "Traceback" not in err, err
     assert not out.exists()
 

@@ -1,5 +1,7 @@
 """Corpus parsing, leave-one-out splitting, and batching."""
 
+from itertools import chain
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,206 @@ class TestLoadCorpus:
         corpus = data.load_corpus(path, min_interactions=3)
         assert corpus.item_map == {7: 1, 42: 2, 100: 3}
         assert corpus.num_items == 3
+
+
+def reference_load_corpus(path, min_interactions=5):
+    """The per-line loader that the array passes replaced, kept as the
+    oracle for files in its grammar: `int()` on every token, so it also
+    took signs, underscores, non-ASCII digits and whitespace, and ids of
+    any length, which `load_corpus` now rejects."""
+    min_keep = max(3, min_interactions)
+    raw = {}
+    order = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                fields = line.split()
+                try:
+                    values = [int(tok) for tok in fields]
+                except ValueError as exc:
+                    raise data.DataError(f"{path}:{lineno}: non-integer token") from exc
+                user, items = values[0], values[1:]
+                if any(item < 1 for item in items):
+                    raise data.DataError(f"{path}:{lineno}: item ids must be >= 1")
+                if user in raw:
+                    raise data.DataError(f"{path}:{lineno}: duplicate user {user}")
+                raw[user] = items
+                order.append(user)
+    except UnicodeDecodeError as exc:
+        raise data.DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    if not raw:
+        raise data.DataError(f"{path}: empty corpus")
+
+    kept = [u for u in order if len(raw[u]) >= min_keep]
+    dropped = len(order) - len(kept)
+    if not kept:
+        raise data.DataError(
+            f"{path}: no user has >= {min_keep} interactions; nothing to model"
+        )
+    distinct = sorted({item for u in kept for item in raw[u]})
+    item_map = {orig: idx for idx, orig in enumerate(distinct, start=1)}
+    sequences = [[item_map[item] for item in raw[u]] for u in kept]
+    interactions = sum(len(s) for s in sequences)
+    report = data.LoadReport(
+        num_users=len(kept),
+        num_items=len(distinct),
+        num_interactions=interactions,
+        avg_length=interactions / len(kept),
+        sparsity=1.0 - interactions / (len(kept) * len(distinct)),
+        dropped_users=dropped,
+        min_interactions=min_interactions,
+    )
+    return data.Corpus(kept, sequences, len(distinct), item_map, report)
+
+
+def load_both(path, min_interactions):
+    """`load_corpus` and the reference on one file: each a `Corpus`, or
+    the text of the `DataError` it raised."""
+    results = []
+    for load in (data.load_corpus, reference_load_corpus):
+        try:
+            results.append(load(path, min_interactions))
+        except data.DataError as exc:
+            results.append(f"DataError: {exc}")
+    return results
+
+
+def assert_python_ints(corpus):
+    """Users, sequences, the item map and the report hold Python numbers,
+    as the CLI's `json.dump` of `item_map.json` and the checks read them."""
+    ids = [*corpus.users, *chain.from_iterable(corpus.sequences), *chain(*corpus.item_map.items())]
+    assert all(type(v) is int for v in ids)
+    assert all(type(v) in (int, float) for v in vars(corpus.report).values())
+
+
+def render(rows, rng):
+    """A file's text: each row a list of id tokens, or None for a line
+    of blanks or nothing; tokens joined by runs of ASCII blanks, with
+    leading and trailing blanks, each line ended by "\\n", "\\r\\n" or
+    "\\r", the last one sometimes by nothing."""
+    blanks = [" ", "  ", "\t", " \t ", "\v", "\f"]
+
+    def pick(options):
+        return str(rng.choice(options))
+
+    lines = []
+    for row in rows:
+        tokens = [pick(["", *blanks])]
+        if row:
+            tokens += [row[0], *(pick(blanks) + tok for tok in row[1:]), pick(["", *blanks])]
+        lines.append("".join(tokens) + pick(["\n", "\r\n", "\r"]))
+    if rng.random() < 0.3:
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return "".join(lines)
+
+
+def random_rows(rng):
+    """Users with 0-8 items from a small catalog (so items repeat), ids
+    with leading zeros now and then, and blank lines between them."""
+    users = rng.choice(1000, size=int(rng.integers(1, 12)), replace=False)
+    rows = []
+    for user in users:
+        while rng.random() < 0.2:
+            rows.append(None)
+        items = rng.integers(1, 40, size=int(rng.integers(0, 9)))
+        rows.append([str(user), *(f"{v:0{int(rng.integers(1, 4))}d}" for v in items)])
+    return rows
+
+
+# files the old grammar reads, each with its `min_interactions`
+VALID_FILES = {
+    "blank-lines": ("\n1 4 5 6\n\n   \n\t \n2 7 8 9\n\n", 3),
+    "crlf": ("1 4 5 6\r\n2 7 8 9\r\n", 3),
+    "lone-cr": ("1 4 5 6\r2 7 8 9\r\r3 4 4 4", 3),
+    "mixed-endings": ("1 4 5 6\r\n2 7 8 9\r3 5 6 7\n", 3),
+    "tabs-and-blanks": ("  1\t4 5\t\t6  \n\t2 7  8 9\t\n", 3),
+    "vertical-tab-and-form-feed": ("1\v4 5\f6\n2 7 8 9\n", 3),
+    "repeated-items": ("1 4 4 4 4\n2 9 9 4 9\n", 3),
+    "user-without-items": ("1 4 5 6\n7\n2 7 8 9\n", 3),
+    "no-final-newline": ("1 4 5 6\n2 7 8 9", 3),
+    "leading-zeros": ("01 004 5 6\n2 007 8 9\n", 3),
+    "eighteen-digits": (f"{'9' * 18} {'9' * 18} 1 2\n0 {'0' * 17}1 5 6\n", 3),
+    "at-and-below-threshold": ("1 4 5 6 7\n2 4 5 6 7 8\n3 9 8 7 6 5\n", 5),
+    "below-three": ("1 4 5\n2 4 5 6\n", 1),
+    "all-dropped": ("1 4 5 6 7\n2 4 5\n", 5),
+}
+
+# files with errors the old grammar also rejects: the first bad line is
+# reported, and on it a bad token before an item 0 before a repeated user
+BAD_FILES = {
+    "token-then-zero": "1 4 5 6\n2 7 x 9\n3 4 0 5\n",
+    "zero-then-token": "1 4 5 6\n2 7 0 9\n3 4 x 5\n",
+    "zero-then-duplicate": "1 4 0 6\n2 7 8 9\n2 4 5 6\n",
+    "duplicate-then-zero": "1 4 5 6\n1 7 8 9\n3 4 0 6\n",
+    "token-then-duplicate": "1 4 5.5 6\n2 7 8 9\n2 4 5 6\n",
+    "duplicate-then-token": "1 4 5 6\n1 7 8 9\n3 4 x 6\n",
+    "zero-before-token-on-a-line": "1 0 x 6\n",
+    "token-before-zero-on-a-line": "1 x 0 6\n",
+    "zero-and-duplicate-on-a-line": "1 4 5 6\n1 0 8 9\n",
+    "token-and-duplicate-on-a-line": "1 4 5 6\n1 x 8 9\n",
+    "all-three-on-a-line": "1 4 5 6\n1 0 y 9\n",
+    "bad-user-token": "u1 4 5 6\n",
+    "after-blank-lines": "\n\n   \n\t\n1 4 0 6\n",
+    "after-blank-crlf-lines": "\r\n\r\n1 4 x 6\r\n",
+    "after-lone-cr-lines": "\r\r1 4 5 6\r1 5 6 7",
+    "first-line": "1 0 5 6\n2 4 5 6\n",
+    "last-line": "1 4 5 6\n2 4 5 6\n3 0 5 6\n",
+    "last-line-without-newline": "1 4 5 6\n2 4 5 x",
+    "empty": "",
+    "blank-only": " \n\t\r\n",
+}
+
+
+class TestLoaderOracle:
+    @pytest.mark.parametrize("case", sorted(VALID_FILES))
+    def test_valid_file_matches_reference(self, tmp_path, case):
+        text, min_interactions = VALID_FILES[case]
+        path = tmp_path / "interactions.txt"
+        path.write_bytes(text.encode("ascii"))
+        got, want = load_both(path, min_interactions)
+        assert got == want
+        if case != "all-dropped":
+            assert_python_ints(got)
+
+    @pytest.mark.parametrize("case", sorted(BAD_FILES))
+    def test_bad_file_matches_reference(self, tmp_path, case):
+        path = tmp_path / "interactions.txt"
+        path.write_bytes(BAD_FILES[case].encode("ascii"))
+        got, want = load_both(path, 3)
+        assert isinstance(want, str) and got == want
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_generated_file_matches_reference(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        path = tmp_path / "interactions.txt"
+        path.write_bytes(render(random_rows(rng), rng).encode("ascii"))
+        min_interactions = int(rng.integers(1, 7))
+        got, want = load_both(path, min_interactions)
+        assert got == want
+        if not isinstance(got, str):
+            assert_python_ints(got)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_generated_errors_match_reference(self, tmp_path, seed):
+        """One to three errors of random kinds on random lines."""
+        rng = np.random.default_rng(1000 + seed)
+        rows = [row for row in random_rows(rng) if row]
+        for _ in range(int(rng.integers(1, 4))):
+            row = rows[int(rng.integers(len(rows)))]
+            kind = rng.choice(["token", "zero", "duplicate"])
+            if kind == "token":
+                row[int(rng.integers(len(row)))] = str(rng.choice(["x", "5.0", "1e3", "0x1", "--"]))
+            elif kind == "zero" and len(row) > 1:
+                row[int(rng.integers(1, len(row)))] = str(rng.choice(["0", "00"]))
+            else:
+                row[0] = rows[int(rng.integers(len(rows)))][0]
+        path = tmp_path / "interactions.txt"
+        path.write_bytes(render(rows, rng).encode("ascii"))
+        got, want = load_both(path, 3)
+        assert got == want
 
 
 class TestSplit:

@@ -454,6 +454,30 @@ class TestFreeze:
         assert peak <= 9 * chunk_array, f"peak {peak / chunk_array:.2f} chunk arrays"
 
 
+class TestInit:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            mdl.ModelConfig(num_items=685, max_len=50, dim=64, layers=2, num_bases=8, dropout=0.2),
+            mdl.ModelConfig(num_items=294, max_len=10, dim=16, layers=1, num_bases=4, dropout=0.2),
+        ],
+        ids=["long-window", "long-history"],
+    )
+    @pytest.mark.parametrize("seed", range(5))
+    def test_draws_match_scaled_normal_bitwise(self, cfg, seed):
+        """Matrices drawn in place as 0.02 * N(0, 1) equal the reference
+        `rng.normal(0.0, 0.02, size)` draws bit for bit, in `param_shapes`
+        order from the same stream."""
+        params = mdl.init_params(cfg, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        for key, shape in mdl.param_shapes(cfg).items():
+            if len(shape) == 2:
+                expected = rng.normal(0.0, 0.02, size=shape)
+            else:
+                expected = np.full(shape, 1.0 if key.endswith("_g") else 0.0)
+            assert params[key].tobytes() == expected.tobytes(), key
+
+
 class TestParamCount:
     def test_matches_closed_form(self, rng):
         cfg = tiny_config(layers=2)
