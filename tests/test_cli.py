@@ -409,24 +409,24 @@ class TestEval:
 # One table of data files the grammar rejects, each with the line that
 # must be named: ids are ASCII decimal integers of at most 18 digits,
 # separated by ASCII whitespace, items >= 1, each user on one line
-BAD_DATA = {
-    "non-digit": (b"1 4 5 6\n2 4 x 6\n", 2),
-    "plus-sign": (b"1 4 5 6\n2 4 +5 6\n", 2),
-    "negative-user": (b"1 4 5 6\n\n-3 4 5 6\n", 3),
-    "underscore": (b"1 4 1_000 6\n2 4 5 6\n", 1),
-    "non-ascii-digit": ("1 4 5 6\n2 4 \u0665 6\n".encode(), 2),
-    "non-ascii-space": ("1 4 5 6\r\n2 4\u00a05 6\r\n".encode(), 2),
-    "19-digit-id": (b"1 4 5 6\n2 4 1000000000000000000 6\n", 2),
-    "item-zero": (b"1 4 5 6\n2 4 0 6\n", 2),
-    "duplicate-user": (b"1 4 5 6\n2 4 5 6\r1 4 5 6\n", 3),
-    "non-utf8": (b"1 \xff\xfe 2 3 4 5\n2 1 2 3 4 5\n", 1),
+BAD_DATA = {  # case: (file bytes, 1-based line reported, reason)
+    "non-digit": (b"1 4 5 6\n2 4 x 6\n", 2, "non-integer token"),
+    "plus-sign": (b"1 4 5 6\n2 4 +5 6\n", 2, "non-integer token"),
+    "negative-user": (b"1 4 5 6\n\n-3 4 5 6\n", 3, "non-integer token"),
+    "underscore": (b"1 4 1_000 6\n2 4 5 6\n", 1, "non-integer token"),
+    "non-ascii-digit": ("1 4 5 6\n2 4 \u0665 6\n".encode(), 2, "non-integer token"),
+    "non-ascii-space": ("1 4 5 6\r\n2 4\u00a05 6\r\n".encode(), 2, "non-integer token"),
+    "19-digit-id": (b"1 4 5 6\n2 4 1000000000000000000 6\n", 2, "id longer than 18 digits"),
+    "item-zero": (b"1 4 5 6\n2 4 0 6\n", 2, "item ids must be >= 1"),
+    "duplicate-user": (b"1 4 5 6\n2 4 5 6\r1 4 5 6\n", 3, "duplicate user 1"),
+    "non-utf8": (b"1 \xff\xfe 2 3 4 5\n2 1 2 3 4 5\n", 1, "not UTF-8 text"),
 }
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
 @pytest.mark.parametrize("case", sorted(BAD_DATA))
 def test_bad_data_file_is_one_line_data_error(tmp_path, capsys, command, case):
-    text, line = BAD_DATA[case]
+    text, line, reason = BAD_DATA[case]
     data = tmp_path / "data.txt"
     data.write_bytes(text)
     out = tmp_path / "out"
@@ -439,7 +439,7 @@ def test_bad_data_file_is_one_line_data_error(tmp_path, capsys, command, case):
         argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_DATA
     err = capsys.readouterr().err
-    assert err.startswith(f"data error: {data}:{line}: "), err
+    assert err.startswith(f"data error: {data}:{line}: {reason}"), err
     assert err.count("\n") == 1 and "Traceback" not in err, err
     assert not out.exists()
 
