@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Split, eval_instances, make_batches
+from .data import Split, eval_batches, eval_instances
 from .model import ModelConfig, freeze_filters, predict_scores_batch
 from .nn import InvalidTarget, NumericError
 
@@ -112,25 +112,13 @@ def aggregate_ranks(ranks, mode, num_empty_context=0, filter_seen=False) -> Eval
     return EvalReport(mode, int(ranks.size), num_empty_context, filter_seen, hr, ndcg)
 
 
-def _seen_index(items, starts, ends, width):
-    """Row i's seen items `items[starts[i]:ends[i]]` as one flat index into
-    a raveled (len(ends), width) score block: offset i * width plus the ids."""
-    lengths = ends - starts
-    row = np.repeat(np.arange(len(ends)), lengths)
-    pos = (starts - np.cumsum(lengths) + lengths).take(row)
-    pos += np.arange(len(row))
-    seen = items.take(pos)
-    row *= width
-    seen += row
-    return seen
-
-
 def _batched_ranks(logits, targets, seen=None):
     """Ranks over a (B, V) score block; each matches rank_of_target with
-    the padding id and, given a `_seen_index`, the row's seen items
-    excluded.  Overwrites `logits`: once each row's own score is read, the
-    padding column, the seen items and the target are set to -inf, so they
-    never count as better or tied and a seen target needs no special case.
+    the padding id and, given a flat `seen` index (`data.eval_batches`),
+    the row's seen items excluded.  Overwrites `logits`: once each row's
+    own score is read, the padding column, the seen items and the target
+    are set to -inf, so they never count as better or tied and a seen
+    target needs no special case.
     The lower-id tie term is counted only when some row has a tie or a
     NaN.  For the caller to report, a row whose target score is not
     finite gets rank 0, and otherwise a row that ranks a NaN score gets
@@ -166,21 +154,22 @@ def evaluate(
 ) -> EvalReport:
     """Score every user's context, rank the held-out target over the full
     catalog, and average HR/NDCG at each cutoff.  The filters are frozen
-    once on entry, so every batch runs the real operators.  Raises
+    once on entry, so every batch runs the real operators; the batches'
+    contexts, targets and seen items are built on the split's first
+    evaluation in `mode` and reused (`data.eval_batches`).  Raises
     `NumericError` naming the first user whose target score is not finite
     or who ranks an item whose score is NaN."""
-    examples = eval_instances(split, mode)
-    items, starts, ends = examples
+    _, starts, ends = eval_instances(split, mode)
     if not len(ends):
         raise ValueError("empty split")
     ops = freeze_filters(params, cfg)
     ranks = np.empty(len(ends), dtype=np.intp)
-    batches = make_batches(examples, cfg.max_len, batch_size)
-    for lo, (ids, targets) in zip(range(0, len(ends), batch_size), batches):
-        users = slice(lo, lo + len(ids))
+    width = cfg.num_items + 1 if filter_seen else None
+    lo = 0
+    for ids, targets, seen in eval_batches(split, mode, cfg.max_len, batch_size, width):
         logits = predict_scores_batch(params, cfg, ids, frozen_ops=ops)
-        seen = _seen_index(items, starts[users], ends[users], logits.shape[1]) if filter_seen else None
-        ranks[users] = _batched_ranks(logits, targets, seen)
+        ranks[lo : lo + len(ids)] = _batched_ranks(logits, targets, seen)
+        lo += len(ids)
     if ranks.min() < 1:
         i = int(np.flatnonzero(ranks < 1)[0])
         where = f"user {split.users[i]} (batch {i // batch_size}, row {i % batch_size})"

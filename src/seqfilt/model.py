@@ -54,6 +54,7 @@ keeps no cache: each block's is dropped as soon as the block returns.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -245,8 +246,11 @@ def build_tap_matrix_backward(cache, d_taps):
 # filter layer: y = G x, with G[i, col(i, k)] summing Re H[i, k]
 
 
+@functools.lru_cache(maxsize=16)
 def _band(cfg: ModelConfig):
-    """Index set of the filter operator: (row i, shift k, column col(i, k)).
+    """Index set of the filter operator: row i and shift k of each tap, and
+    the flat index i·N + col(i, k) of its entry in G.  Built once per
+    config, read-only.
 
     Causal mode keeps 0 <= i-k (shifts past the first position read the
     zero padding of the N+K ring); circular mode wraps to (i-k) mod N."""
@@ -255,16 +259,20 @@ def _band(cfg: ModelConfig):
     cols = rows - shifts
     if cfg.filter_mode == "causal":
         keep = cols >= 0
-        return rows[keep], shifts[keep], cols[keep]
-    return rows, shifts, cols % n
+        rows, shifts, cols = rows[keep], shifts[keep], cols[keep]
+    else:
+        cols %= n
+    band = rows, shifts, rows * n + cols
+    for array in band:
+        array.flags.writeable = False
+    return band
 
 
 def _tap_operator(cfg: ModelConfig, taps):
     """Real N x N operator G of a tap matrix; wrapped circular taps are summed."""
     n = cfg.max_len
-    rows, shifts, cols = _band(cfg)
-    flat = np.bincount(rows * n + cols, weights=taps.real[rows, shifts], minlength=n * n)
-    return flat.reshape(n, n)
+    rows, shifts, flat = _band(cfg)
+    return np.bincount(flat, weights=taps.real[rows, shifts], minlength=n * n).reshape(n, n)
 
 
 def _live_filter(cfg: ModelConfig, taps, x):
@@ -297,10 +305,10 @@ def filter_operators(params, cfg: ModelConfig):
 
 def filter_backward(cfg: ModelConfig, tap_caches, grads):
     """Swap each layer's `block{l}_op` gradient in `grads` for its tap groups'."""
-    rows, shifts, cols = _band(cfg)
+    rows, shifts, flat = _band(cfg)
     for layer, tap_cache in enumerate(tap_caches):
         d_taps = np.zeros((cfg.max_len, cfg.order + 1))
-        d_taps[rows, shifts] = grads.pop(block_key(layer, "op"))[rows, cols]
+        d_taps[rows, shifts] = grads.pop(block_key(layer, "op")).ravel()[flat]
         names = (block_key(layer, name) for name in ("coef", "basis_re", "basis_im"))
         grads.update(zip(names, build_tap_matrix_backward(tap_cache, d_taps)))
 
@@ -311,6 +319,9 @@ def filter_backward(cfg: ModelConfig, tap_caches, grads):
 
 def _check_ids(cfg: ModelConfig, ids):
     ids = np.asarray(ids)
+    # a float or bool array would fail later, at its first use as an index
+    if ids.dtype.kind not in "iu":
+        raise TypeError(f"item ids must be an integer array, got dtype {ids.dtype}")
     if ids.ndim != 2 or ids.shape[1] != cfg.max_len:
         raise ShapeMismatch(
             f"ids must be (batch, {cfg.max_len}), got {ids.shape}"

@@ -15,6 +15,7 @@ batch and the first non-finite parameter group."""
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -45,6 +46,10 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "patience", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if not 0 < self.lr < np.inf:
             raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
         if not 0 <= self.alpha < np.inf:
@@ -135,13 +140,14 @@ def loss_and_grads(params, cfg: ModelConfig, ids, targets, alpha, rng=None):
     filter_backward(cfg, tap_caches, grads)
 
     ortho_total = 0.0
-    for layer in range(cfg.layers):
-        re_key = block_key(layer, "basis_re")
-        im_key = block_key(layer, "basis_im")
-        penalty, g_re, g_im = ortho_penalty(params[re_key], params[im_key], alpha)
-        ortho_total += penalty
-        grads[re_key] += g_re
-        grads[im_key] += g_im
+    if alpha:  # at alpha 0 the penalty and its gradients are zero
+        for layer in range(cfg.layers):
+            re_key = block_key(layer, "basis_re")
+            im_key = block_key(layer, "basis_im")
+            penalty, g_re, g_im = ortho_penalty(params[re_key], params[im_key], alpha)
+            ortho_total += penalty
+            grads[re_key] += g_re
+            grads[im_key] += g_im
 
     loss = ce + ortho_total
     if not np.isfinite(loss):

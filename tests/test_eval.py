@@ -1,5 +1,7 @@
 """Ranking and metric tests, checked against a full-sort oracle."""
 
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from seqfilt import evaluation as ev
 from seqfilt import nn
-from seqfilt.data import Corpus, Split, eval_instances, make_batches, split_loo
+from seqfilt.data import Corpus, Split, eval_batches, eval_instances, make_batches, split_loo
 from seqfilt.model import (
     ModelConfig,
     example_flops,
@@ -144,7 +146,10 @@ class TestBatchedRanks:
         scores = np.array([[0.0, 3.0, 1.0, 2.0, 1.0], [0.0, 1.0, 1.0, 4.0, 1.0]])
         targets = np.array([2, 4])
         contexts = [[2, 1], [4, 3, 2]]
-        seen = ev._seen_index(np.array([2, 1, 4, 3, 2]), np.array([0, 2]), np.array([2, 5]), 5)
+        # test-mode contexts are prefix plus validation item
+        split = Split([7, 8], [[2], [4, 3]], [1, 2], [2, 4], 4)
+        [(_, split_targets, seen)] = eval_batches(split, "test", 3, 2, 5)
+        assert split_targets.tolist() == targets.tolist()
         assert seen.tolist() == [2, 1, 9, 8, 7]
         got = ev._batched_ranks(scores.copy(), targets, seen)
         assert got.tolist() == oracle_ranks(scores, targets, contexts).tolist() == [2, 2]
@@ -165,11 +170,11 @@ class TestBatchedRanks:
         contexts = [items[s:e] for s, e in zip(starts, ends)]
         want = oracle_ranks(scores, targets, contexts)
         got = []
-        for lo in range(0, 11, 4):
+        for lo, (_, batch_targets, seen) in zip(range(0, 11, 4), eval_batches(split, "test", 12, 4, 13)):
             rows = slice(lo, lo + 4)
-            seen = ev._seen_index(items, starts[rows], ends[rows], 13)
+            assert batch_targets.tolist() == targets[rows].tolist()
             got.extend(ev._batched_ranks(scores[rows].copy(), targets[rows], seen))
-        assert got == want.tolist()
+        assert len(got) == 11 and got == want.tolist()
 
     def test_non_finite_target_score_ranks_zero(self):
         scores = np.array([[0.0, 1.0, 2.0], [0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [0.0, 1.0, np.nan]])
@@ -349,3 +354,93 @@ class TestEvaluate:
         with pytest.raises(NumericError) as info:
             ev.evaluate(split, params, cfg, batch_size=4)
         assert str(info.value) == "user 10 (batch 0, row 0): target score is not finite"
+
+
+class TestEvalMemo:
+    """`evaluate` builds a split's batch inputs once per (mode, max_len),
+    in the split (`data.eval_batches`), and reuses them."""
+
+    CFG = ModelConfig(num_items=30, max_len=6, dim=8, layers=1, num_bases=3)
+
+    def make_split(self, seed=23):
+        rng = np.random.default_rng(seed)
+        split = split_loo(make_synthetic_random(19, 30, rng))
+        # user 0's validation context is empty
+        return replace(split, prefixes=[[]] + split.prefixes[1:]), init_params(self.CFG, rng)
+
+    @staticmethod
+    def fresh(split):
+        return Split(split.users, split.prefixes, split.valid_targets, split.test_targets, split.num_items)
+
+    def test_reports_equal_a_fresh_splits_and_the_oracle(self):
+        split, params = self.make_split()
+        ops = freeze_filters(params, self.CFG)
+        for mode in ("valid", "test"):
+            contexts = [p if mode == "valid" else p + [v] for p, v in zip(split.prefixes, split.valid_targets)]
+            targets = split.valid_targets if mode == "valid" else split.test_targets
+            scores = [predict_scores(params, self.CFG, c, frozen_ops=ops) for c in contexts]
+            for seen in (False, True):
+                ranks = oracle_ranks(scores, targets, contexts if seen else None)
+                want = ev.aggregate_ranks(ranks, mode, int(mode == "valid"), seen).to_csv()
+                for batch_size in (1, 7, 256):
+                    cold = ev.evaluate(self.fresh(split), params, self.CFG, mode, batch_size, seen).to_csv()
+                    # the first call in a mode builds the memo, later ones reuse it
+                    got = [ev.evaluate(split, params, self.CFG, mode, batch_size, seen).to_csv() for _ in range(2)]
+                    assert got == [cold, cold] == [want, want]
+        assert sorted(split._eval_memo) == [("test", 6), ("valid", 6)]
+        # another window length gets an entry of its own
+        cfg = replace(self.CFG, max_len=4)
+        params = init_params(cfg, np.random.default_rng(5))
+        got = ev.evaluate(split, params, cfg, "test", 7, True).to_csv()
+        assert got == ev.evaluate(self.fresh(split), params, cfg, "test", 7, True).to_csv()
+        assert len(split._eval_memo) == 3
+        for ids, targets, seen in eval_batches(split, "test", 6, 7, 31):
+            for array in (ids, targets):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+
+    def test_replaced_split_has_no_stale_memo(self):
+        split, params = self.make_split()
+        before = ev.evaluate(split, params, self.CFG, "test", 7, True).to_csv()
+        changed = replace(split, prefixes=[p[1:] for p in split.prefixes])
+        got = ev.evaluate(changed, params, self.CFG, "test", 7, True).to_csv()
+        assert got == ev.evaluate(self.fresh(changed), params, self.CFG, "test", 7, True).to_csv()
+        assert got != before
+
+    def test_threads_evaluating_one_split_agree(self):
+        # more threads than cores race to build one split's memo, with a
+        # short switch interval so that they interleave within a build
+        workers = 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(3):
+                split, params = self.make_split(seed)
+                want = [
+                    ev.evaluate(self.fresh(split), params, self.CFG, mode, 5, True).to_csv()
+                    for mode in ("valid", "test")
+                ]
+                barrier = threading.Barrier(workers)
+                reports = [None] * workers
+
+                def work(i):
+                    barrier.wait(timeout=60)
+                    reports[i] = [ev.evaluate(split, params, self.CFG, mode, 5, True).to_csv() for mode in ("valid", "test")]
+
+                threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+                assert reports == [want] * workers
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_is_value_error(self, batch_size):
+        split, params = self.make_split()
+        for _ in range(2):  # with the memo cold, then warm
+            with pytest.raises(ValueError, match="batch_size must be positive"):
+                ev.evaluate(split, params, self.CFG, batch_size=batch_size)
+            ev.evaluate(split, params, self.CFG)

@@ -133,6 +133,26 @@ class TestEmbedding:
         with pytest.raises(mdl.OutOfVocabulary):
             mdl.model_forward(params, cfg, ids)
 
+    @pytest.mark.parametrize("mode", mdl.FILTER_MODES)
+    def test_band_is_built_once_per_config_and_read_only(self, mode):
+        band = mdl._band(tiny_config(filter_mode=mode))
+        assert mdl._band(tiny_config(filter_mode=mode)) is band
+        for array in band:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, bool, object])
+    def test_non_integer_ids_are_type_error(self, rng, dtype):
+        # a float array was an IndexError at the first gather, a bool one
+        # "too many indices"; an all-False bool array is ids in range
+        cfg = tiny_config()
+        params = mdl.init_params(cfg, rng)
+        ids = np.zeros((2, 8), dtype=dtype)
+        with pytest.raises(TypeError, match=f"^item ids must be an integer array, got dtype {ids.dtype}$"):
+            mdl.predict_scores_batch(params, cfg, ids)
+        with pytest.raises(TypeError, match="got dtype"):
+            mdl.predict_scores_batch(params, cfg, ids, frozen_ops=mdl.freeze_filters(params, cfg))
+
     def test_lookup_locality(self, rng):
         cfg = tiny_config()
         params = mdl.init_params(cfg, rng)

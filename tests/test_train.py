@@ -49,6 +49,31 @@ glibc_only = pytest.mark.skipif(
 )
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("epochs", 2.0),
+            ("epochs", True),
+            ("batch_size", 4.0),
+            ("batch_size", True),
+            ("patience", 1.5),
+            ("patience", True),
+            ("seed", 1.0),
+            ("seed", False),
+        ],
+    )
+    def test_non_integer_field_is_type_error(self, field, value):
+        # a float reached `range` or `SeedSequence` only inside fit, and a
+        # bool or a fractional patience was taken silently
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got {value!r}$"):
+            TrainConfig(**{field: value})
+
+    def test_numpy_integers_are_integers(self):
+        cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int32(4), patience=np.uint8(1), seed=np.int64(0))
+        assert (cfg.epochs, cfg.batch_size, cfg.patience, cfg.seed) == (2, 4, 1, 0)
+
+
 class TestLossAndGrads:
     def test_alpha_zero_is_pure_cross_entropy(self, rng):
         cfg, params, ids, targets = small_setup(rng)
