@@ -27,7 +27,6 @@ __all__ = [
     "split_loo",
     "train_examples",
     "eval_instances",
-    "eval_batches",
     "make_batches",
 ]
 
@@ -75,9 +74,7 @@ class Split:
     user's full history (prefix, validation item, test item) back to
     back, read-only, and user u's history is `items[offsets[u]:offsets[u + 1]]`.
     The split is frozen, and the lists it is built from must not be
-    changed afterwards, since the index would not follow them.
-    `eval_batches` keeps its per-(mode, max_len) inputs in `_eval_memo`;
-    `dataclasses.replace` makes a split with a fresh one."""
+    changed afterwards, since the index would not follow them."""
 
     users: list
     prefixes: list
@@ -86,7 +83,6 @@ class Split:
     num_items: int
     items: np.ndarray = field(init=False, repr=False, compare=False)
     offsets: np.ndarray = field(init=False, repr=False, compare=False)
-    _eval_memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         rows = zip(self.prefixes, self.valid_targets, self.test_targets)
@@ -231,14 +227,6 @@ def eval_instances(split: Split, mode: str):
     return split.items, starts, stops - (2 if mode == "valid" else 1)
 
 
-def _padded(items, starts, ends, max_len):
-    """(len(ends), max_len) ids: row i is the last max_len items of
-    `items[starts[i]:ends[i]]`, left-padded with zeros."""
-    first = starts[:, None]
-    pos = ends[:, None] + np.arange(-max_len, 0)
-    return np.where(pos >= first, items[np.maximum(pos, first)], 0)
-
-
 def make_batches(examples, max_len, batch_size, rng=None):
     """Yield (ids, targets) arrays for `(items, starts, ends)` examples:
     each row is the last max_len items of its context, left-padded with
@@ -247,48 +235,10 @@ def make_batches(examples, max_len, batch_size, rng=None):
         raise ValueError("max_len and batch_size must be positive")
     items, starts, ends = examples
     order = rng.permutation(len(ends)) if rng is not None else np.arange(len(ends))
+    window = np.arange(-max_len, 0)
     for lo in range(0, len(order), batch_size):
         chunk = order[lo : lo + batch_size]
-        yield _padded(items, starts[chunk], ends[chunk], max_len), items[ends[chunk]]
-
-
-def eval_batches(split: Split, mode: str, max_len: int, batch_size: int, width=None):
-    """Yield `(ids, targets, seen)` for the split's `mode` examples in user
-    order, `batch_size` users at a time, as `make_batches` would give
-    `eval_instances(split, mode)` without an rng.  Given a `width`, `seen`
-    is the flat index of each row's seen items, its whole context, into
-    a raveled (rows, width) score block: row r's item i is r·width + i.
-    Otherwise `seen` is None.
-
-    The padded contexts, the targets, and each context position's user
-    row and item id are built once per (mode, max_len) and kept read-only
-    in the split's memo, users·(max_len + 1) + 2·(context positions)
-    int64 values; a batch slices them."""
-    if max_len < 1 or batch_size < 1:
-        raise ValueError("max_len and batch_size must be positive")
-    inputs = split._eval_memo.get((mode, max_len))
-    if inputs is None:
-        items, starts, ends = eval_instances(split, mode)
-        context = np.ones(len(items), dtype=bool)
-        context[ends] = False
-        context[split.offsets[1:] - 1] = False
-        inputs = (
-            _padded(items, starts, ends, max_len),
-            items[ends],
-            np.repeat(np.arange(len(ends)), ends - starts),
-            items[context],
-        )
-        for array in inputs:
-            array.flags.writeable = False
-        # a concurrent build of the same entry made equal arrays: keep one
-        inputs = split._eval_memo.setdefault((mode, max_len), inputs)
-    ids, targets, rows, seen_items = inputs
-    for lo in range(0, len(targets), batch_size):
-        seen = None
-        if width is not None:
-            p0, p1 = np.searchsorted(rows, (lo, lo + batch_size))
-            seen = rows[p0:p1] * width
-            seen += seen_items[p0:p1]
-            if lo:
-                seen -= lo * width
-        yield ids[lo : lo + batch_size], targets[lo : lo + batch_size], seen
+        first = starts[chunk, None]
+        pos = ends[chunk, None] + window
+        ids = np.where(pos >= first, items[np.maximum(pos, first)], 0)
+        yield ids, items[ends[chunk]]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Split, eval_batches, eval_instances
+from .data import Split, eval_instances, make_batches
 from .model import ModelConfig, freeze_filters, predict_scores_batch
 from .nn import InvalidTarget, NumericError
 
@@ -112,13 +112,30 @@ def aggregate_ranks(ranks, mode, num_empty_context=0, filter_seen=False) -> Eval
     return EvalReport(mode, int(ranks.size), num_empty_context, filter_seen, hr, ndcg)
 
 
+def _seen_index(split: Split, mode: str, users: slice, width: int):
+    """The seen items of `users` (a slice of the split's users, in order)
+    as one flat index into a raveled (rows, width) score block: row r's
+    item i is r·width + i.  It lists each user's history up to and
+    including the `mode` target, one multiply-add over a contiguous run
+    of the split's index.  Listing the target does not matter, since
+    `_batched_ranks` reads its score first and masks it anyway; in valid
+    mode the test item, which follows the target, is listed as the
+    target again."""
+    bounds = split.offsets[users.start : users.stop + 1]
+    seen = np.repeat(np.arange(0, width * (len(bounds) - 1), width), np.diff(bounds))
+    seen += split.items[bounds[0] : bounds[-1]]
+    if mode == "valid":
+        test = bounds[1:] - bounds[0] - 1
+        seen[test] = seen[test - 1]
+    return seen
+
+
 def _batched_ranks(logits, targets, seen=None):
     """Ranks over a (B, V) score block; each matches rank_of_target with
-    the padding id and, given a flat `seen` index (`data.eval_batches`),
-    the row's seen items excluded.  Overwrites `logits`: once each row's
-    own score is read, the padding column, the seen items and the target
-    are set to -inf, so they never count as better or tied and a seen
-    target needs no special case.
+    the padding id and, given a `_seen_index`, the row's seen items
+    excluded.  Overwrites `logits`: once each row's own score is read, the
+    padding column, the seen items and the target are set to -inf, so they
+    never count as better or tied and a seen target needs no special case.
     The lower-id tie term is counted only when some row has a tie or a
     NaN.  For the caller to report, a row whose target score is not
     finite gets rank 0, and otherwise a row that ranks a NaN score gets
@@ -154,22 +171,21 @@ def evaluate(
 ) -> EvalReport:
     """Score every user's context, rank the held-out target over the full
     catalog, and average HR/NDCG at each cutoff.  The filters are frozen
-    once on entry, so every batch runs the real operators; the batches'
-    contexts, targets and seen items are built on the split's first
-    evaluation in `mode` and reused (`data.eval_batches`).  Raises
+    once on entry, so every batch runs the real operators.  Raises
     `NumericError` naming the first user whose target score is not finite
     or who ranks an item whose score is NaN."""
-    _, starts, ends = eval_instances(split, mode)
+    examples = eval_instances(split, mode)
+    _, starts, ends = examples
     if not len(ends):
         raise ValueError("empty split")
     ops = freeze_filters(params, cfg)
     ranks = np.empty(len(ends), dtype=np.intp)
-    width = cfg.num_items + 1 if filter_seen else None
-    lo = 0
-    for ids, targets, seen in eval_batches(split, mode, cfg.max_len, batch_size, width):
+    # make_batches checks batch_size before the first batch
+    for b, (ids, targets) in enumerate(make_batches(examples, cfg.max_len, batch_size)):
+        users = slice(b * batch_size, b * batch_size + len(ids))
         logits = predict_scores_batch(params, cfg, ids, frozen_ops=ops)
-        ranks[lo : lo + len(ids)] = _batched_ranks(logits, targets, seen)
-        lo += len(ids)
+        seen = _seen_index(split, mode, users, logits.shape[1]) if filter_seen else None
+        ranks[users] = _batched_ranks(logits, targets, seen)
     if ranks.min() < 1:
         i = int(np.flatnonzero(ranks < 1)[0])
         where = f"user {split.users[i]} (batch {i // batch_size}, row {i % batch_size})"

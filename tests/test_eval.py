@@ -9,7 +9,7 @@ import pytest
 
 from seqfilt import evaluation as ev
 from seqfilt import nn
-from seqfilt.data import Corpus, Split, eval_batches, eval_instances, make_batches, split_loo
+from seqfilt.data import Corpus, Split, eval_instances, make_batches, split_loo
 from seqfilt.model import (
     ModelConfig,
     example_flops,
@@ -148,11 +148,28 @@ class TestBatchedRanks:
         contexts = [[2, 1], [4, 3, 2]]
         # test-mode contexts are prefix plus validation item
         split = Split([7, 8], [[2], [4, 3]], [1, 2], [2, 4], 4)
-        [(_, split_targets, seen)] = eval_batches(split, "test", 3, 2, 5)
-        assert split_targets.tolist() == targets.tolist()
-        assert seen.tolist() == [2, 1, 9, 8, 7]
+        seen = ev._seen_index(split, "test", slice(0, 2), 5)
+        # each row's context, then its target, which is masked anyway
+        assert seen.tolist() == [2, 1, 2, 9, 8, 7, 9]
         got = ev._batched_ranks(scores.copy(), targets, seen)
         assert got.tolist() == oracle_ranks(scores, targets, contexts).tolist() == [2, 2]
+
+    def test_valid_seen_index_leaves_out_the_test_item(self):
+        # user 8's test item 1 is in neither its context nor its target
+        split = Split([7, 8], [[2], [4, 3]], [1, 2], [2, 1], 4)
+        seen = ev._seen_index(split, "valid", slice(0, 2), 5)
+        assert seen.tolist() == [2, 1, 1, 9, 8, 7, 7]
+        assert ev._seen_index(split, "valid", slice(1, 2), 5).tolist() == [4, 3, 2, 2]
+
+    @pytest.mark.parametrize("mode", ["valid", "test"])
+    def test_seen_index_lists_each_context_and_target(self, rng, mode):
+        split = split_loo(make_synthetic_random(9, 12, rng))
+        items, starts, ends = eval_instances(split, mode)
+        for lo in range(9):
+            for hi in range(lo + 1, 10):
+                seen = ev._seen_index(split, mode, slice(lo, hi), 13)
+                want = {r * 13 + i for r, u in enumerate(range(lo, hi)) for i in items[starts[u] : ends[u] + 1]}
+                assert set(seen.tolist()) == want
 
     def test_all_tied_row(self):
         scores = np.full((2, 9), 0.25)
@@ -164,17 +181,18 @@ class TestBatchedRanks:
         # 11 users in batches of 4, each batch ranked from the flat index
         # of its own rows, the last batch holding 3 rows; rounded scores tie
         split = split_loo(make_synthetic_random(11, 12, rng))
-        items, starts, ends = eval_instances(split, "test")
         scores = np.round(rng.normal(size=(11, 13)), 1)
-        targets = items[ends]
-        contexts = [items[s:e] for s, e in zip(starts, ends)]
-        want = oracle_ranks(scores, targets, contexts)
-        got = []
-        for lo, (_, batch_targets, seen) in zip(range(0, 11, 4), eval_batches(split, "test", 12, 4, 13)):
-            rows = slice(lo, lo + 4)
-            assert batch_targets.tolist() == targets[rows].tolist()
-            got.extend(ev._batched_ranks(scores[rows].copy(), targets[rows], seen))
-        assert len(got) == 11 and got == want.tolist()
+        for mode in ("valid", "test"):
+            items, starts, ends = eval_instances(split, mode)
+            targets = items[ends]
+            contexts = [items[s:e] for s, e in zip(starts, ends)]
+            want = oracle_ranks(scores, targets, contexts)
+            got = []
+            for lo in range(0, 11, 4):
+                rows = slice(lo, min(lo + 4, 11))
+                seen = ev._seen_index(split, mode, rows, 13)
+                got.extend(ev._batched_ranks(scores[rows].copy(), targets[rows], seen))
+            assert got == want.tolist()
 
     def test_non_finite_target_score_ranks_zero(self):
         scores = np.array([[0.0, 1.0, 2.0], [0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [0.0, 1.0, np.nan]])
@@ -356,9 +374,9 @@ class TestEvaluate:
         assert str(info.value) == "user 10 (batch 0, row 0): target score is not finite"
 
 
-class TestEvalMemo:
-    """`evaluate` builds a split's batch inputs once per (mode, max_len),
-    in the split (`data.eval_batches`), and reuses them."""
+class TestEvaluateBatches:
+    """`evaluate` builds each batch's contexts, targets and seen index from
+    the split on every call and keeps nothing between calls."""
 
     CFG = ModelConfig(num_items=30, max_len=6, dim=8, layers=1, num_bases=3)
 
@@ -368,11 +386,7 @@ class TestEvalMemo:
         # user 0's validation context is empty
         return replace(split, prefixes=[[]] + split.prefixes[1:]), init_params(self.CFG, rng)
 
-    @staticmethod
-    def fresh(split):
-        return Split(split.users, split.prefixes, split.valid_targets, split.test_targets, split.num_items)
-
-    def test_reports_equal_a_fresh_splits_and_the_oracle(self):
+    def test_reports_equal_the_oracle(self):
         split, params = self.make_split()
         ops = freeze_filters(params, self.CFG)
         for mode in ("valid", "test"):
@@ -383,33 +397,11 @@ class TestEvalMemo:
                 ranks = oracle_ranks(scores, targets, contexts if seen else None)
                 want = ev.aggregate_ranks(ranks, mode, int(mode == "valid"), seen).to_csv()
                 for batch_size in (1, 7, 256):
-                    cold = ev.evaluate(self.fresh(split), params, self.CFG, mode, batch_size, seen).to_csv()
-                    # the first call in a mode builds the memo, later ones reuse it
-                    got = [ev.evaluate(split, params, self.CFG, mode, batch_size, seen).to_csv() for _ in range(2)]
-                    assert got == [cold, cold] == [want, want]
-        assert sorted(split._eval_memo) == [("test", 6), ("valid", 6)]
-        # another window length gets an entry of its own
-        cfg = replace(self.CFG, max_len=4)
-        params = init_params(cfg, np.random.default_rng(5))
-        got = ev.evaluate(split, params, cfg, "test", 7, True).to_csv()
-        assert got == ev.evaluate(self.fresh(split), params, cfg, "test", 7, True).to_csv()
-        assert len(split._eval_memo) == 3
-        for ids, targets, seen in eval_batches(split, "test", 6, 7, 31):
-            for array in (ids, targets):
-                with pytest.raises(ValueError, match="read-only"):
-                    array[0] = 0
-
-    def test_replaced_split_has_no_stale_memo(self):
-        split, params = self.make_split()
-        before = ev.evaluate(split, params, self.CFG, "test", 7, True).to_csv()
-        changed = replace(split, prefixes=[p[1:] for p in split.prefixes])
-        got = ev.evaluate(changed, params, self.CFG, "test", 7, True).to_csv()
-        assert got == ev.evaluate(self.fresh(changed), params, self.CFG, "test", 7, True).to_csv()
-        assert got != before
+                    assert ev.evaluate(split, params, self.CFG, mode, batch_size, seen).to_csv() == want
 
     def test_threads_evaluating_one_split_agree(self):
-        # more threads than cores race to build one split's memo, with a
-        # short switch interval so that they interleave within a build
+        # more threads than cores, with a short switch interval so that
+        # they interleave within a batch
         workers = 4
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -417,7 +409,7 @@ class TestEvalMemo:
             for seed in range(3):
                 split, params = self.make_split(seed)
                 want = [
-                    ev.evaluate(self.fresh(split), params, self.CFG, mode, 5, True).to_csv()
+                    ev.evaluate(split, params, self.CFG, mode, 5, True).to_csv()
                     for mode in ("valid", "test")
                 ]
                 barrier = threading.Barrier(workers)
@@ -440,7 +432,5 @@ class TestEvalMemo:
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_batch_size_below_one_is_value_error(self, batch_size):
         split, params = self.make_split()
-        for _ in range(2):  # with the memo cold, then warm
-            with pytest.raises(ValueError, match="batch_size must be positive"):
-                ev.evaluate(split, params, self.CFG, batch_size=batch_size)
-            ev.evaluate(split, params, self.CFG)
+        with pytest.raises(ValueError, match="batch_size must be positive"):
+            ev.evaluate(split, params, self.CFG, batch_size=batch_size)
