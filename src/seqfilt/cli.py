@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import DataError, load_corpus, split_loo
+from .data import MIN_INTERACTIONS, DataError, load_corpus, split_loo
 from .evaluation import evaluate
 from .model import (
     FILTER_MODES,
@@ -59,6 +59,25 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
+def _at_least(low):
+    """`type=` for an integer flag that must be >= `low`."""
+    def parse(text):
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+def _config(cls, args, **given):
+    """`cls` from the parsed flags named after its fields, plus `given`."""
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if f.name not in given}
+    try:
+        return cls(**flags, **given)
+    except ValueError as exc:
+        raise CliUsageError(str(exc)) from None
+
+
 def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -90,6 +109,8 @@ def _now() -> str:
 
 def _prepare_out_dir(out, force) -> Path:
     out = Path(out)
+    if out.exists() and not out.is_dir():
+        raise CliUsageError(f"--out {out} is not a directory")
     if out.exists() and any(out.iterdir()) and not force:
         raise CliUsageError(
             f"output directory {out} is not empty; pass --force to overwrite"
@@ -110,20 +131,22 @@ def _build_parser() -> _Parser:
 
     tr = sub.add_parser("train", help="train a model on an interaction file")
     tr.add_argument("--data", required=True, help="interaction file (user then items per line)")
-    tr.add_argument("--max-len", type=int, default=50)
-    tr.add_argument("--dim", type=int, default=64)
-    tr.add_argument("--layers", type=int, default=2)
-    tr.add_argument("--m", type=int, default=8, help="number of basis vectors")
-    tr.add_argument("--filter-order", type=int, default=None, help="defaults to max-len")
-    tr.add_argument("--alpha", type=float, default=0.0, help="orthogonality penalty weight")
-    tr.add_argument("--dropout", type=float, default=0.2)
-    tr.add_argument("--lr", type=float, default=1e-3)
-    tr.add_argument("--epochs", type=int, default=200)
-    tr.add_argument("--batch", type=int, default=256)
-    tr.add_argument("--patience", type=int, default=10)
-    tr.add_argument("--seed", type=int, default=42)
-    tr.add_argument("--mode", choices=FILTER_MODES, default="causal")
-    tr.add_argument("--min-interactions", type=int, default=5)
+    # each config flag's dest is its field's name and its default the field's
+    tr.add_argument("--max-len", type=int, default=ModelConfig.max_len)
+    tr.add_argument("--dim", type=int, default=ModelConfig.dim)
+    tr.add_argument("--layers", type=int, default=ModelConfig.layers)
+    tr.add_argument("--m", dest="num_bases", type=int, default=ModelConfig.num_bases,
+                    help="number of basis vectors")
+    tr.add_argument("--filter-order", type=int, default=ModelConfig.filter_order, help="defaults to max-len")
+    tr.add_argument("--alpha", type=float, default=TrainConfig.alpha, help="orthogonality penalty weight")
+    tr.add_argument("--dropout", type=float, default=ModelConfig.dropout)
+    tr.add_argument("--lr", type=float, default=TrainConfig.lr)
+    tr.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    tr.add_argument("--batch", dest="batch_size", type=int, default=TrainConfig.batch_size)
+    tr.add_argument("--patience", type=int, default=TrainConfig.patience)
+    tr.add_argument("--seed", type=int, default=TrainConfig.seed)
+    tr.add_argument("--mode", dest="filter_mode", choices=FILTER_MODES, default=ModelConfig.filter_mode)
+    tr.add_argument("--min-interactions", type=int, default=MIN_INTERACTIONS)
     tr.add_argument("--out", required=True)
     tr.add_argument("--force", action="store_true")
 
@@ -132,7 +155,7 @@ def _build_parser() -> _Parser:
     ev.add_argument("--data", required=True)
     ev.add_argument("--split", choices=("valid", "test"), default="test")
     ev.add_argument("--filter-seen", action="store_true")
-    ev.add_argument("--batch", type=int, default=256)
+    ev.add_argument("--batch", type=_at_least(1), default=256)
     ev.add_argument("--out", required=True)
     ev.add_argument("--force", action="store_true")
 
@@ -143,40 +166,21 @@ def _build_parser() -> _Parser:
 
     be = sub.add_parser("bench", help="compare frozen vs unfrozen inference time")
     be.add_argument("--checkpoint", required=True)
-    be.add_argument("--repeats", type=int, default=5)
-    be.add_argument("--batch", type=int, default=256)
-    be.add_argument("--seed", type=int, default=0)
+    be.add_argument("--repeats", type=_at_least(1), default=5)
+    be.add_argument("--batch", type=_at_least(1), default=256)
+    be.add_argument("--seed", type=_at_least(0), default=0)
     be.add_argument("--out", required=True)
     be.add_argument("--force", action="store_true")
     return parser
 
 
 def cmd_train(args) -> int:
+    train_cfg = _config(TrainConfig, args)
     data_path = Path(args.data)
     if not data_path.exists():
         raise DataError(f"data file {data_path} does not exist")
     corpus = load_corpus(data_path, min_interactions=args.min_interactions)
-    try:
-        model_cfg = ModelConfig(
-            num_items=corpus.num_items,
-            max_len=args.max_len,
-            dim=args.dim,
-            layers=args.layers,
-            num_bases=args.m,
-            filter_order=args.filter_order,
-            dropout=args.dropout,
-            filter_mode=args.mode,
-        )
-        train_cfg = TrainConfig(
-            lr=args.lr,
-            alpha=args.alpha,
-            epochs=args.epochs,
-            batch_size=args.batch,
-            patience=args.patience,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise CliUsageError(str(exc)) from None
+    model_cfg = _config(ModelConfig, args, num_items=corpus.num_items)
     out = _prepare_out_dir(args.out, args.force)
     data_sha = _sha256(data_path)
     manifest = {
@@ -207,8 +211,8 @@ def cmd_train(args) -> int:
     meta = {
         "data_sha256": data_sha,
         "min_interactions": args.min_interactions,
-        "seed": args.seed,
-        "alpha": args.alpha,
+        "seed": train_cfg.seed,
+        "alpha": train_cfg.alpha,
     }
     save_checkpoint(out / "checkpoint.bin", params, model_cfg, meta=meta)
     with atomic_open(out / "item_map.json", "w", encoding="utf-8") as fh:
@@ -225,8 +229,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.batch < 1:
-        raise CliUsageError(f"--batch must be >= 1, got {args.batch}")
     params, cfg, meta = load_checkpoint(args.checkpoint)
     data_path = Path(args.data)
     if not data_path.exists():
@@ -236,7 +238,7 @@ def cmd_eval(args) -> int:
             "checkpoint was trained on different data (sha256 mismatch); "
             "pass the original file"
         )
-    corpus = load_corpus(data_path, min_interactions=meta.get("min_interactions", 5))
+    corpus = load_corpus(data_path, min_interactions=meta.get("min_interactions", MIN_INTERACTIONS))
     if corpus.num_items != cfg.num_items:
         raise CheckpointError(
             f"checkpoint expects {cfg.num_items} items, corpus has {corpus.num_items}"
@@ -269,12 +271,6 @@ def cmd_export_filters(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.repeats < 1:
-        raise CliUsageError(f"--repeats must be >= 1, got {args.repeats}")
-    if args.batch < 1:
-        raise CliUsageError(f"--batch must be >= 1, got {args.batch}")
-    if args.seed < 0:
-        raise CliUsageError(f"--seed must be >= 0, got {args.seed}")
     params, cfg, _ = load_checkpoint(args.checkpoint)
     out = _prepare_out_dir(args.out, args.force)
     rng = np.random.default_rng(args.seed)

@@ -28,7 +28,11 @@ __all__ = [
     "train_examples",
     "eval_instances",
     "make_batches",
+    "MIN_INTERACTIONS",
 ]
+
+# users with fewer interactions are dropped, unless a run asks otherwise
+MIN_INTERACTIONS = 5
 
 
 class DataError(ValueError):
@@ -93,7 +97,7 @@ class Split:
         object.__setattr__(self, "offsets", np.concatenate(([0], np.cumsum(sizes))))
 
 
-def load_corpus(path, min_interactions: int = 5) -> Corpus:
+def load_corpus(path, min_interactions: int = MIN_INTERACTIONS) -> Corpus:
     """Read an interaction file: one user per line, a user id and then the
     user's item ids, every id an ASCII decimal integer of at most 18
     digits, separated by ASCII whitespace; blank lines are skipped and

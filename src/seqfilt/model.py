@@ -81,6 +81,7 @@ from .nn import (
     gelu_backward,
     layer_norm,
     layer_norm_backward,
+    ortho_penalty,
     run_chunks,
 )
 
@@ -303,14 +304,21 @@ def filter_operators(params, cfg: ModelConfig):
     return [_tap_operator(cfg, taps) for taps, _ in built], [cache for _, cache in built]
 
 
-def filter_backward(cfg: ModelConfig, tap_caches, grads):
-    """Swap each layer's `block{l}_op` gradient in `grads` for its tap groups'."""
+def filter_backward(params, cfg: ModelConfig, tap_caches, grads, alpha):
+    """Swap each layer's `block{l}_op` gradient in `grads` for its tap
+    groups', and add the gradient of the basis's orthogonality penalty
+    of weight `alpha`; returns the penalty summed over the layers."""
     rows, shifts, flat = _band(cfg)
+    ortho = 0.0
     for layer, tap_cache in enumerate(tap_caches):
         d_taps = np.zeros((cfg.max_len, cfg.order + 1))
         d_taps[rows, shifts] = grads.pop(block_key(layer, "op")).ravel()[flat]
-        names = (block_key(layer, name) for name in ("coef", "basis_re", "basis_im"))
-        grads.update(zip(names, build_tap_matrix_backward(tap_cache, d_taps)))
+        names = [block_key(layer, name) for name in ("coef", "basis_re", "basis_im")]
+        d_coef, d_re, d_im = build_tap_matrix_backward(tap_cache, d_taps)
+        penalty, g_re, g_im = ortho_penalty(params[names[1]], params[names[2]], alpha)
+        grads.update(zip(names, (d_coef, d_re + g_re, d_im + g_im)))
+        ortho += penalty
+    return ortho
 
 
 # ---------------------------------------------------------------------------

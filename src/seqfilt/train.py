@@ -23,9 +23,9 @@ import numpy as np
 
 from .data import Corpus, DataError, make_batches, split_loo, train_examples
 from .evaluation import evaluate
-from .model import ModelConfig, atomic_open, block_key, filter_backward, filter_operators, init_params, param_shapes
+from .model import ModelConfig, atomic_open, filter_backward, filter_operators, init_params, param_shapes
 from .model import example_flops, model_backward, model_forward, score_logits
-from .nn import NumericError, adam_init, adam_step, batch_chunks, flat_views, ortho_penalty, run_chunks, softmax_xent_batch
+from .nn import NumericError, adam_init, adam_step, batch_chunks, flat_views, run_chunks, softmax_xent_batch
 
 __all__ = [
     "TrainConfig",
@@ -137,17 +137,7 @@ def loss_and_grads(params, cfg: ModelConfig, ids, targets, alpha, rng=None):
             for key in part:
                 grads[key] += part[key]
         del part  # the chunk's (V+1, D) table gradient goes before the next chunk runs
-    filter_backward(cfg, tap_caches, grads)
-
-    ortho_total = 0.0
-    if alpha:  # at alpha 0 the penalty and its gradients are zero
-        for layer in range(cfg.layers):
-            re_key = block_key(layer, "basis_re")
-            im_key = block_key(layer, "basis_im")
-            penalty, g_re, g_im = ortho_penalty(params[re_key], params[im_key], alpha)
-            ortho_total += penalty
-            grads[re_key] += g_re
-            grads[im_key] += g_im
+    ortho_total = filter_backward(params, cfg, tap_caches, grads, alpha)
 
     loss = ce + ortho_total
     if not np.isfinite(loss):

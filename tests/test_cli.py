@@ -1,5 +1,6 @@
 """End-to-end command-line tests on a tiny synthetic corpus."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from seqfilt import evaluation as ev
 from seqfilt import nn
 from seqfilt import spectral as sp
 from seqfilt import train as tr
-from seqfilt.data import load_corpus, split_loo
+from seqfilt.data import MIN_INTERACTIONS, load_corpus, split_loo
 from seqfilt.model import (
     CheckpointError,
     ModelConfig,
@@ -22,7 +23,7 @@ from seqfilt.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from seqfilt.train import make_synthetic
+from seqfilt.train import TrainConfig, make_synthetic
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +89,9 @@ class TestTrain:
     def test_manifest_contents(self, run_dir):
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["flags"]["seed"] == 11
+        # keyed by the config fields the flags set
+        assert manifest["flags"]["num_bases"] == 3 and manifest["flags"]["batch_size"] == 64
+        assert manifest["flags"]["filter_mode"] == "causal"
         assert len(manifest["data_sha256"]) == 64
         assert "started" in manifest and "finished" in manifest
         assert manifest["model_config"]["dim"] == 8
@@ -114,32 +118,6 @@ class TestTrain:
 
     def test_missing_data_flag_is_usage_error(self, tmp_path):
         assert cli.main(["train", "--out", str(tmp_path / "x")]) == cli.EXIT_USAGE
-
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ["--max-len", "0"],
-            ["--m", "100", "--max-len", "10"],
-            ["--epochs", "0"],
-            ["--lr", "-1"],
-            ["--dropout", "1.0"],
-            ["--lr", "nan"],
-            ["--lr", "inf"],
-            ["--alpha", "nan"],
-            ["--alpha", "inf"],
-            ["--seed", "-1"],
-        ],
-        ids=[
-            "max-len-0", "m-above-max-len", "epochs-0", "negative-lr", "dropout-1.0",
-            "lr-nan", "lr-inf", "alpha-nan", "alpha-inf", "negative-seed",
-        ],
-    )
-    def test_invalid_config_is_usage_error(self, tmp_path, corpus_file, capsys, flags):
-        out = tmp_path / "bad"
-        code = cli.main(["train", "--data", str(corpus_file), "--out", str(out), *flags])
-        assert code == cli.EXIT_USAGE
-        assert_one_line_error(capsys)
-        assert not out.exists()
 
     def test_missing_data_file_is_data_error(self, tmp_path):
         code = cli.main(
@@ -380,18 +358,6 @@ class TestEval:
         for key, want in want_params.items():
             assert params[key].tobytes() == want.tobytes()
 
-    def test_zero_batch_rejected(self, tmp_path, corpus_file, run_dir, capsys):
-        out = tmp_path / "out"
-        code = cli.main(
-            [
-                "eval", "--checkpoint", str(run_dir / "checkpoint.bin"),
-                "--data", str(corpus_file), "--out", str(out), "--batch", "0",
-            ]
-        )
-        assert code == cli.EXIT_USAGE
-        assert_one_line_error(capsys)
-        assert not out.exists()
-
     def test_wrong_data_rejected(self, tmp_path, run_dir):
         other = tmp_path / "other.txt"
         other.write_text("1 1 2 3\n2 2 3 1\n3 3 1 2\n", encoding="utf-8")
@@ -404,6 +370,93 @@ class TestEval:
         )
         assert code == cli.EXIT_DATA
         assert not out.exists()
+
+
+# One generated table of bad values for every numeric flag of every
+# command: 0 and -1 where the flag's floor forbids them, a float for an
+# integer flag, text that is no number, and nan and inf for a float flag
+INT_FLAGS = {  # (command, flag): floor, or None where any integer is taken
+    ("train", "--max-len"): 1,
+    ("train", "--dim"): 1,
+    ("train", "--layers"): 1,
+    ("train", "--m"): 1,
+    ("train", "--filter-order"): 0,
+    ("train", "--epochs"): 1,
+    ("train", "--batch"): 1,
+    ("train", "--patience"): 1,
+    ("train", "--seed"): 0,
+    ("train", "--min-interactions"): None,
+    ("eval", "--batch"): 1,
+    ("bench", "--repeats"): 1,
+    ("bench", "--batch"): 1,
+    ("bench", "--seed"): 0,
+}
+FLOAT_FLAGS = {("train", "--alpha"): ["-1"], ("train", "--dropout"): ["-1", "1.0"], ("train", "--lr"): ["0", "-1"]}
+BAD_ARGS = [
+    (command, [flag, value])
+    for (command, flag), floor in INT_FLAGS.items()
+    for value in [v for v in ("0", "-1") if floor is not None and int(v) < floor] + ["1.5", "x"]
+] + [
+    (command, [flag, value])
+    for (command, flag), below in FLOAT_FLAGS.items()
+    for value in below + ["x", "nan", "inf"]
+] + [("train", ["--m", "100", "--max-len", "10"])]
+
+
+def command_argv(command, corpus_file, run_dir, out):
+    """A run of `command` that succeeds as it stands."""
+    if command == "train":
+        return ["train", "--data", str(corpus_file), "--out", str(out), *TRAIN_FLAGS]
+    extra = ["--data", str(corpus_file)] if command == "eval" else []
+    return [command, "--checkpoint", str(run_dir / "checkpoint.bin"), "--out", str(out), *extra]
+
+
+@pytest.mark.parametrize(
+    ("command", "flags"), BAD_ARGS, ids=[" ".join([c, *f]) for c, f in BAD_ARGS]
+)
+def test_bad_flag_value_is_one_line_usage_error(tmp_path, corpus_file, run_dir, capsys, command, flags):
+    out = tmp_path / "out"
+    assert cli.main([*command_argv(command, corpus_file, run_dir, out), *flags]) == cli.EXIT_USAGE
+    assert_one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("flags", "data", "code"),
+    [
+        (["--epochs", "0"], None, cli.EXIT_USAGE),
+        # a ModelConfig needs the corpus's item count, so it is checked after the read
+        (["--max-len", "0"], b"1 4 x 6\n", cli.EXIT_DATA),
+    ],
+    ids=["train-config-before-read", "model-config-after-read"],
+)
+def test_flag_checks_and_data_read_order(tmp_path, capsys, flags, data, code):
+    path = tmp_path / "data.txt"
+    if data is not None:
+        path.write_bytes(data)
+    out = tmp_path / "out"
+    assert cli.main(["train", "--data", str(path), "--out", str(out), *flags]) == code
+    assert_one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_train_defaults_are_the_config_fields():
+    args = cli._build_parser().parse_args(["train", "--data", "d.txt", "--out", "out"])
+    for cls in (ModelConfig, TrainConfig):
+        for field in dataclasses.fields(cls):
+            if field.name != "num_items":
+                assert getattr(args, field.name) == field.default, field.name
+    assert args.min_interactions == MIN_INTERACTIONS
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "export-filters", "bench"])
+def test_out_naming_a_file_is_usage_error(tmp_path, corpus_file, run_dir, capsys, command):
+    out = tmp_path / "afile"
+    out.write_text("kept\n", encoding="utf-8")
+    assert cli.main(command_argv(command, corpus_file, run_dir, out)) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--out" in err and err.count("\n") == 1 and "Traceback" not in err, err
+    assert out.read_text(encoding="utf-8") == "kept\n"
 
 
 # One table of data files the grammar rejects, each with the line that
@@ -682,34 +735,3 @@ class TestBench:
         assert code == cli.EXIT_NUMERIC
         assert_one_line_error(capsys)
         assert not (out / "bench.csv").exists()
-
-    def test_zero_repeats_rejected(self, tmp_path, run_dir):
-        code = cli.main(
-            [
-                "bench", "--checkpoint", str(run_dir / "checkpoint.bin"),
-                "--repeats", "0", "--out", str(tmp_path / "x"),
-            ]
-        )
-        assert code == cli.EXIT_USAGE
-
-    def test_zero_batch_rejected(self, tmp_path, run_dir, capsys):
-        code = cli.main(
-            [
-                "bench", "--checkpoint", str(run_dir / "checkpoint.bin"),
-                "--batch", "0", "--out", str(tmp_path / "x"),
-            ]
-        )
-        assert code == cli.EXIT_USAGE
-        assert_one_line_error(capsys)
-
-    def test_negative_seed_rejected(self, tmp_path, run_dir, capsys):
-        out = tmp_path / "x"
-        code = cli.main(
-            [
-                "bench", "--checkpoint", str(run_dir / "checkpoint.bin"),
-                "--seed", "-1", "--out", str(out),
-            ]
-        )
-        assert code == cli.EXIT_USAGE
-        assert_one_line_error(capsys)
-        assert not out.exists()

@@ -17,6 +17,7 @@ import pytest
 from conftest import finite_diff, rel_err
 from seqfilt import nn
 from seqfilt.model import ModelConfig, example_flops, freeze_filters, init_params, predict_scores_batch
+from seqfilt.train import loss_and_grads
 
 
 def softmax_xent(logits, target, exclude=()):
@@ -270,6 +271,12 @@ class TestOrthoPenalty:
 # the benchmark's two model shapes
 LONG_WINDOW = ModelConfig(num_items=685, max_len=50, dim=64, layers=2, num_bases=8)
 LONG_HISTORY = ModelConfig(num_items=294, max_len=10, dim=16, layers=1, num_bases=4)
+# model shapes (N, D, L, V) from ones whose batches never split to ones
+# that split a batch of two
+CHUNK_GRID = [
+    ModelConfig(num_items=v, max_len=n, dim=d, layers=layers, num_bases=4)
+    for n in (5, 50, 200) for d in (16, 64, 256) for layers in (1, 2, 3) for v in (100, 20_000)
+]
 
 
 class TestAdam:
@@ -382,22 +389,31 @@ class TestRowPool:
         # one's row, and 2·D·(V+1) for the head
         assert example_flops(LONG_WINDOW) == 320_000 + 819_200 + 6_400 + 16_384 + 87_808
         assert example_flops(LONG_HISTORY) == 320 + 1_024 + 9_440
-        assert sizes(8, LONG_WINDOW) == [8]  # 5 M flops a half: not worth a thread
+        # the benchmark's batches
         assert sizes(16, LONG_WINDOW) == [8, 8]
-        assert sizes(64, LONG_WINDOW) == [32, 32]
-        # a batch of 65 to 127 rows runs as two even halves: none is left
-        # whole or cut into 64 rows and a sliver
-        assert sizes(65, LONG_WINDOW) == [33, 32]
-        assert sizes(70, LONG_WINDOW) == [35, 35]
-        assert sizes(100, LONG_WINDOW) == [50, 50]
-        assert sizes(119, LONG_WINDOW) == [60, 59]
-        assert sizes(127, LONG_WINDOW) == [64, 63]
-        assert sizes(129, LONG_WINDOW) == [43, 43, 43]
         assert sizes(256, LONG_WINDOW) == [64] * 4
         assert sizes(256, LONG_HISTORY) == [256]  # a small model's step
-        chunks = sizes(4096, LONG_HISTORY)
-        assert len(chunks) > 1 and sum(chunks) == 4096
-        assert all(rows * example_flops(LONG_HISTORY) >= nn._SPLIT_MIN for rows in chunks)
+
+        kinds = set()
+        for cfg in CHUNK_GRID:
+            work = example_flops(cfg)
+            for rows in range(1, 301):
+                chunks = nn.batch_chunks(rows, work)
+                got = [c.stop - c.start for c in chunks]
+                case = (cfg.max_len, cfg.dim, cfg.layers, cfg.num_items, rows, got)
+                # the chunks cover the rows in order, in sizes a row apart at most
+                assert chunks[0].start == 0 and chunks[-1].stop == rows, case
+                assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:])), case
+                assert max(got) - min(got) <= 1, case
+                if len(chunks) > 1:
+                    assert min(got) * work >= nn._SPLIT_MIN, case
+                else:  # whole only when its halves would fall below the floor
+                    assert rows // 2 * work < nn._SPLIT_MIN, case
+                # chunks of at most 64 rows, where that many chunks clear the floor
+                if rows // -(-rows // 64) * work >= nn._SPLIT_MIN:
+                    assert max(got) <= 64, case
+                kinds.add("whole" if len(got) == 1 else "capped" if max(got) <= 64 else "floored")
+        assert kinds == {"whole", "capped", "floored"}
 
     def _race(self, work_in_caller):
         """A job whose chunks in the worker thread wait 0.2 s and then
@@ -572,6 +588,28 @@ class TestRowPool:
             monkeypatch.setattr(nn, "_WORKERS", workers)
             got.append(predict_scores_batch(params, LONG_WINDOW, ids, frozen_ops=ops).tobytes())
         assert got[0] == got[1]
+
+    @pytest.mark.parametrize(
+        ("n", "d", "layers", "v", "rows"),
+        [(50, 64, 2, 100, 16), (5, 16, 1, 20_000, 40), (200, 16, 3, 100, 130)],
+        ids=["2-chunks", "wide-head", "3-chunks"],
+    )
+    def test_grid_shapes_match_on_one_and_two_threads(self, monkeypatch, pool_shares, n, d, layers, v, rows):
+        cfg = ModelConfig(num_items=v, max_len=n, dim=d, layers=layers, num_bases=4)
+        rng = np.random.default_rng(7)
+        params = init_params(cfg, rng)
+        ids = rng.integers(0, v + 1, size=(rows, n))
+        targets = rng.integers(1, v + 1, size=rows)
+        assert len(nn.batch_chunks(rows, example_flops(cfg))) > 1
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(nn, "_WORKERS", workers)
+            pool_shares.clear()
+            scores = predict_scores_batch(params, cfg, ids)
+            loss, _, _, grads = loss_and_grads(params, cfg, ids, targets, 1e-3, np.random.default_rng(3))
+            runs.append([scores.tobytes(), np.float64(loss).tobytes(), *(grads[k].tobytes() for k in sorted(grads))])
+            assert bool(pool_shares) == (workers == 2)
+        assert runs[0] == runs[1]
 
     def test_pool_starts_on_first_split(self):
         script = (
