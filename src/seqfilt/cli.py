@@ -41,7 +41,7 @@ from .model import (
     predict_scores_batch,
     save_checkpoint,
 )
-from .nn import NumericError, pool_size
+from .nn import NumericError, blas_threads, pool_size
 from .train import TrainConfig, fit
 
 EXIT_OK = 0
@@ -176,6 +176,9 @@ def _build_parser() -> _Parser:
 
 def cmd_train(args) -> int:
     train_cfg = _config(TrainConfig, args)
+    # every model flag is checked before the data file is read; the item
+    # count is the corpus's, so the config is built again once it is known
+    _config(ModelConfig, args, num_items=1)
     data_path = Path(args.data)
     if not data_path.exists():
         raise DataError(f"data file {data_path} does not exist")
@@ -193,7 +196,9 @@ def cmd_train(args) -> int:
         "source": _source_id(),
         "version": __version__,
         "workers": pool_size(),
-        # BLAS's own threads compete with the pool's for the same cores
+        # the thread count BLAS runs a call on: one beside a pool of two,
+        # whatever the variables say (None where it cannot be asked)
+        "blas_threads": blas_threads(),
         **{
             name: os.environ.get(name)
             for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -20,7 +20,7 @@ cached x_hat; the GELU and dropout backwards leave their caches as they are.
 Threads.  The encoder and the head treat each example of a batch apart,
 so a batch is what gets shared out, not a kernel: `batch_chunks` cuts a
 batch into even chunks that each hold at least _SPLIT_MIN forward
-flops, of at most 64 examples where that floor allows, and `run_chunks`
+flops, of at most 32 examples where that floor allows, and `run_chunks`
 runs a job per chunk on a pool of min(2, usable CPUs) threads, the
 caller and one worker, which claim chunks from a shared counter, and
 yields the jobs' results in chunk order.  The worker is the one thread of a standard-library
@@ -37,8 +37,15 @@ orthogonality penalty run once per batch in the caller.  A batch with
 too little work for two chunks (batch-1 prediction, the small models'
 steps) runs whole in the caller's thread, with no handoff.  A chunk
 computes the same bits on either thread and its results come back in
-chunk order, so nothing depends on the pool size.  BLAS keeps its own
-threads.
+chunk order, so nothing depends on the pool size.  Each thread holds
+one chunk's activations at a time, so the row cap, not a kernel, sets a
+step's peak: on two threads, a long-window step of 256 rows holds two
+32-row chunks where it held two 64-row ones (long-window peak_rss_mb
+95.8 -> 83.5 MB, CHANGES.md).  When the pool has two threads,
+importing this module holds numpy's bundled OpenBLAS to one thread a
+call, so BLAS starts no threads of its own on the pool's cores and
+computes the same bits whatever OPENBLAS_NUM_THREADS says
+(`blas_threads`).
 
 Each training step allocates and frees hundreds of MB of such
 temporaries, and each prediction tens of MB.  Importing this module,
@@ -56,6 +63,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import glob
 import itertools
 import math
 import os
@@ -71,6 +79,7 @@ __all__ = [
     "ShapeMismatch",
     "InvalidTarget",
     "pool_size",
+    "blas_threads",
     "batch_chunks",
     "run_chunks",
     "layer_norm",
@@ -100,6 +109,9 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD = 32 * 1024 * 1024  # glibc's largest on 64-bit builds
 _TRIM_THRESHOLD = 1024 * 1024 * 1024
+# the thread-count calls of numpy's bundled OpenBLAS, "set" or "get", by
+# build: scipy-openblas wheels, older wheels with 64-bit integers, others
+_OPENBLAS_CALLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads")
 
 # the pool: the caller plus at most one worker thread
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
@@ -109,9 +121,15 @@ _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
 # and 1.35x at 6, and long-history prediction (11 k) 0.94x at 512 rows
 _SPLIT_MIN = 7_000_000
 # a batch is cut into chunks of at most this many rows, when each still
-# clears _SPLIT_MIN; 32 and 64 measured alike at B=256, and fixed halves
-# would leave a stalled thread holding up half
-_CHUNK_ROWS = 64
+# clears _SPLIT_MIN.  Each thread holds one chunk's activations, so the
+# cap sets a step's peak.  On two threads and one BLAS thread (2 vCPUs),
+# 32 rows against 64: long-window peak_rss_mb 95.8 -> 83.5 MB at 4,233
+# -> 4,317 examples/s (medians of ten benchmark pairs); a V=12k B=256
+# step (8x32 rows instead of 4x64) peaked at 35-50 MB instead of 49-62
+# (tracemalloc) in 90-94 ms instead of 85-110; at V=50k the four extra
+# (V+1)xD chunk-gradient sums cost 207-234 -> 234-268 ms a step, at a
+# peak of 115-167 MB instead of 153-179
+_CHUNK_ROWS = 32
 _PENDING = object()  # the result slot of a chunk not yet finished
 
 
@@ -156,9 +174,45 @@ def _keep_freed_memory() -> None:
 _keep_freed_memory()
 
 
+def _openblas_thread_calls():
+    """The (set, get) thread-count functions of numpy's bundled OpenBLAS,
+    or None where numpy bundles none that exports them."""
+    numpy_dir = os.path.dirname(np.__file__)
+    paths = glob.glob(os.path.join(numpy_dir, os.pardir, "numpy.libs", "*openblas*"))
+    paths += glob.glob(os.path.join(numpy_dir, ".dylibs", "*openblas*"))
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)  # the copy numpy loaded, not a second one
+        except OSError:
+            continue
+        for name in _OPENBLAS_CALLS:
+            setter = getattr(lib, name.format("set"), None)
+            getter = getattr(lib, name.format("get"), None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = (ctypes.c_int,), None
+                getter.argtypes, getter.restype = (), ctypes.c_int
+                return setter, getter
+    return None
+
+
+# The pool owns the two cores: when it has two threads, BLAS runs each
+# call on one, whatever OPENBLAS_NUM_THREADS says, so a chunked step does
+# not run four threads on two cores and computes the same bits in every
+# environment.  Without a bundled OpenBLAS nothing is set.
+_OPENBLAS = _openblas_thread_calls()
+if _OPENBLAS is not None and _WORKERS == 2:
+    _OPENBLAS[0](1)
+
+
 def pool_size() -> int:
     """Threads a chunked batch runs on: the caller plus the worker, if any."""
     return _WORKERS
+
+
+def blas_threads():
+    """Threads numpy's bundled OpenBLAS runs a call on, or None where there
+    is no such library to ask."""
+    return None if _OPENBLAS is None else _OPENBLAS[1]()
 
 
 def _new_pool():

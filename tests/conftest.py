@@ -43,6 +43,27 @@ def causal_oracle(taps, x, order):
     return y
 
 
+def chunk_sizes(rows, work):
+    """The row counts of `nn.batch_chunks(rows, work)`, checked against
+    the rule: the chunks cover the rows in order, in sizes a row apart at
+    most; a cut batch's chunks each clear `_SPLIT_MIN`, and a batch stays
+    whole only when its halves would not; no chunk holds more than
+    `_CHUNK_ROWS` rows where that many chunks clear the floor."""
+    chunks = nn.batch_chunks(rows, work)
+    sizes = [c.stop - c.start for c in chunks]
+    case = (rows, work, sizes)
+    assert chunks[0].start == 0 and chunks[-1].stop == rows, case
+    assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:])), case
+    assert max(sizes) - min(sizes) <= 1, case
+    if len(sizes) > 1:
+        assert min(sizes) * work >= nn._SPLIT_MIN, case
+    else:
+        assert rows // 2 * work < nn._SPLIT_MIN, case
+    if rows // -(-rows // nn._CHUNK_ROWS) * work >= nn._SPLIT_MIN:
+        assert max(sizes) <= nn._CHUNK_ROWS, case
+    return sizes
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -97,6 +97,9 @@ class TestTrain:
         assert manifest["model_config"]["dim"] == 8
         assert manifest["parameters"] > 0
         assert manifest["workers"] == nn.pool_size()
+        assert manifest["blas_threads"] == nn.blas_threads()
+        if nn.pool_size() == 2 and nn.blas_threads() is not None:
+            assert manifest["blas_threads"] == 1  # the pool owns the cores
         for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             assert manifest[name] == os.environ.get(name), name
 
@@ -425,10 +428,10 @@ def test_bad_flag_value_is_one_line_usage_error(tmp_path, corpus_file, run_dir, 
     ("flags", "data", "code"),
     [
         (["--epochs", "0"], None, cli.EXIT_USAGE),
-        # a ModelConfig needs the corpus's item count, so it is checked after the read
-        (["--max-len", "0"], b"1 4 x 6\n", cli.EXIT_DATA),
+        # the model flags are checked with a placeholder item count first
+        (["--max-len", "0"], b"1 4 x 6\n", cli.EXIT_USAGE),
     ],
-    ids=["train-config-before-read", "model-config-after-read"],
+    ids=["train-config-before-read", "model-config-before-read"],
 )
 def test_flag_checks_and_data_read_order(tmp_path, capsys, flags, data, code):
     path = tmp_path / "data.txt"

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import chunk_sizes
 from seqfilt import evaluation as ev
 from seqfilt import nn
 from seqfilt.data import Corpus, Split, eval_instances, make_batches, split_loo
@@ -302,21 +303,22 @@ class TestEvaluate:
             assert report.num_empty_context == (1 if mode == "valid" else 0)
 
     def test_chunked_batches_match_on_one_and_two_threads(self, monkeypatch, pool_shares):
-        # at N=50, D=64 and L=2 a 300-user batch splits into 5 chunks
-        # of 60, and batches of 37 and 24 users into two halves.
-        # predict_scores_batch submits each to the pool once, and the ranks are
+        # at N=50, D=64 and L=2 batches of 300, 37 and 24 users are cut
+        # into chunks and a batch of one stays whole.
+        # predict_scores_batch submits each cut batch to the pool once, and the ranks are
         # those of its scores; a pool entered from inside a job would add
         # a count.  337 users are 300 + 37, or 14 x 24 + 1.
         rng = np.random.default_rng(14)
         split = split_loo(make_synthetic_random(337, 60, rng))
         cfg = ModelConfig(num_items=60, max_len=50, dim=64, layers=2, num_bases=4)
         params = init_params(cfg, rng)
-        assert [len(nn.batch_chunks(b, example_flops(cfg))) for b in (300, 37, 24, 1)] == [5, 2, 2, 1]
+        count = {b: len(chunk_sizes(b, example_flops(cfg))) for b in (300, 37, 24, 1)}
+        assert min(count[300], count[37], count[24]) > 1 and count[1] == 1
         shares = pool_shares
         ops = freeze_filters(params, cfg)
         examples = eval_instances(split, "test")
         items, starts, ends = examples
-        for batch_size, counts in ((300, [5, 2]), (24, [2] * 14)):
+        for batch_size, counts in ((300, [count[300], count[37]]), (24, [count[24]] * 14)):
             for seen in (False, True):
                 reports = []
                 for workers in (1, 2):

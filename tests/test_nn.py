@@ -14,8 +14,8 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import finite_diff, rel_err
-from seqfilt import nn
+from conftest import chunk_sizes, finite_diff, rel_err
+from seqfilt import nn, train
 from seqfilt.model import ModelConfig, example_flops, freeze_filters, init_params, predict_scores_batch
 from seqfilt.train import loss_and_grads
 
@@ -351,7 +351,7 @@ class TestAdam:
 
 
 CHUNKS = 8  # jobs per run_chunks call in the race tests
-N, D, L = 16, 64, 2  # with 300 examples, five chunks of 60
+N, D, L = 16, 64, 2  # with 300 examples, ten chunks of 30
 
 
 def _model():
@@ -375,11 +375,7 @@ class TestRowPool:
 
     def test_batch_chunks_cover_each_row_once(self):
         for rows in (119, 256, 300, 2048):
-            chunks = nn.batch_chunks(rows, example_flops(LONG_WINDOW))
-            assert len(chunks) == -(-rows // 64)
-            assert chunks[0].start == 0 and chunks[-1].stop == rows
-            assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
-            assert all(0 < c.stop - c.start <= 64 for c in chunks)
+            assert len(chunk_sizes(rows, example_flops(LONG_WINDOW))) == -(-rows // 32)
 
     def test_batch_chunks_follow_the_work_of_an_example(self):
         def sizes(rows, cfg):
@@ -391,28 +387,16 @@ class TestRowPool:
         assert example_flops(LONG_HISTORY) == 320 + 1_024 + 9_440
         # the benchmark's batches
         assert sizes(16, LONG_WINDOW) == [8, 8]
-        assert sizes(256, LONG_WINDOW) == [64] * 4
+        assert sizes(256, LONG_WINDOW) == [32] * 8
+        assert sizes(119, LONG_WINDOW) == [30, 30, 30, 29]  # an epoch's last batch
         assert sizes(256, LONG_HISTORY) == [256]  # a small model's step
 
         kinds = set()
         for cfg in CHUNK_GRID:
             work = example_flops(cfg)
             for rows in range(1, 301):
-                chunks = nn.batch_chunks(rows, work)
-                got = [c.stop - c.start for c in chunks]
-                case = (cfg.max_len, cfg.dim, cfg.layers, cfg.num_items, rows, got)
-                # the chunks cover the rows in order, in sizes a row apart at most
-                assert chunks[0].start == 0 and chunks[-1].stop == rows, case
-                assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:])), case
-                assert max(got) - min(got) <= 1, case
-                if len(chunks) > 1:
-                    assert min(got) * work >= nn._SPLIT_MIN, case
-                else:  # whole only when its halves would fall below the floor
-                    assert rows // 2 * work < nn._SPLIT_MIN, case
-                # chunks of at most 64 rows, where that many chunks clear the floor
-                if rows // -(-rows // 64) * work >= nn._SPLIT_MIN:
-                    assert max(got) <= 64, case
-                kinds.add("whole" if len(got) == 1 else "capped" if max(got) <= 64 else "floored")
+                got = chunk_sizes(rows, work)
+                kinds.add("whole" if len(got) == 1 else "capped" if max(got) <= 32 else "floored")
         assert kinds == {"whole", "capped", "floored"}
 
     def _race(self, work_in_caller):
@@ -610,6 +594,39 @@ class TestRowPool:
             runs.append([scores.tobytes(), np.float64(loss).tobytes(), *(grads[k].tobytes() for k in sorted(grads))])
             assert bool(pool_shares) == (workers == 2)
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize(
+        ("n", "d", "layers", "v", "rows"),
+        [
+            (50, 64, 2, 100, 96),  # cut into 32-row chunks
+            (5, 64, 1, 20_000, 96),  # a wide head, cut into 32-row chunks
+            (200, 16, 3, 100, 64),  # a long window, cut into 32-row chunks
+            (50, 64, 2, 100, 5),  # too few rows to cut
+            (50, 16, 1, 100, 120),  # too little work an example to cut
+        ],
+        ids=["3x32", "wide-head", "long-window", "few-rows", "light"],
+    )
+    def test_grid_chunks_match_whole_and_frozen_matches_live(self, monkeypatch, n, d, layers, v, rows):
+        # loss and gradients of a batch cut by batch_chunks against the
+        # batch run as one chunk, at dropout 0, and frozen prediction
+        # against the live spectral path
+        cfg = ModelConfig(num_items=v, max_len=n, dim=d, layers=layers, num_bases=4, dropout=0.0)
+        rng = np.random.default_rng(9)
+        params = init_params(cfg, rng)
+        ids = rng.integers(0, v + 1, size=(rows, n))
+        targets = rng.integers(1, v + 1, size=rows)
+        sizes = chunk_sizes(rows, example_flops(cfg))
+        assert sizes == ([32] * (rows // 32) if rows % 32 == 0 else [rows])
+        chunked = loss_and_grads(params, cfg, ids, targets, 1e-3)
+        monkeypatch.setattr(train, "batch_chunks", lambda rows, work: [slice(0, rows)])
+        whole = loss_and_grads(params, cfg, ids, targets, 1e-3)
+        errors = {name: rel_err(chunked[i], whole[i], floor=1e-300) for i, name in enumerate(("loss", "ce", "ortho"))}
+        errors.update({key: rel_err(chunked[3][key], whole[3][key], floor=1e-300) for key in params})
+        live = predict_scores_batch(params, cfg, ids)
+        frozen = predict_scores_batch(params, cfg, ids, frozen_ops=freeze_filters(params, cfg))
+        errors["frozen"] = rel_err(frozen, live)
+        worst = max(errors, key=errors.get)
+        assert errors[worst] <= 1e-12, f"worst {worst}: {errors[worst]:.2e}"
 
     def test_pool_starts_on_first_split(self):
         script = (

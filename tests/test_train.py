@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import finite_diff, rel_err
+from conftest import chunk_sizes, finite_diff, rel_err
 from seqfilt.data import Corpus, split_loo
 from seqfilt.evaluation import evaluate
 from seqfilt import model as mdl, nn
@@ -143,16 +143,15 @@ class TestLossAndGrads:
         assert len(str(info.value).splitlines()) == 1
 
     def test_chunked_batch_matches_one_chunk(self, monkeypatch):
-        """A 300-row batch at N=50, D=64 runs as five chunks of 60 rows;
-        with dropout off, it matches the batch run as one chunk
-        to rounding, in the loss and in every gradient group."""
+        """A 300-row batch at N=50, D=64 runs in chunks; with dropout off,
+        it matches the batch run as one chunk to rounding, in the loss and
+        in every gradient group."""
         rng = np.random.default_rng(31)
         cfg = ModelConfig(num_items=60, max_len=50, dim=64, dropout=0.0)
         params = init_params(cfg, rng)
         ids = rng.integers(0, 61, size=(300, 50))
         targets = rng.integers(1, 61, size=300)
-        sizes = [part.stop - part.start for part in nn.batch_chunks(300, mdl.example_flops(cfg))]
-        assert sizes == [60] * 5
+        assert len(chunk_sizes(300, mdl.example_flops(cfg))) > 1
         chunked = loss_and_grads(params, cfg, ids, targets, 0.1)
         monkeypatch.setattr(tr, "batch_chunks", lambda rows, size: [slice(0, rows)])
         whole = loss_and_grads(params, cfg, ids, targets, 0.1)
@@ -164,7 +163,7 @@ class TestLossAndGrads:
 
     def test_chunked_step_builds_each_filter_once(self, monkeypatch):
         """The taps and their backward depend on the parameters alone, so
-        a step of five chunks builds and differentiates each layer's once."""
+        a step of several chunks builds and differentiates each layer's once."""
         calls = {"build_tap_matrix": 0, "build_tap_matrix_backward": 0}
         for name in calls:
             def counting(*args, _inner=getattr(mdl, name), _name=name):
@@ -176,22 +175,23 @@ class TestLossAndGrads:
         cfg = ModelConfig(num_items=60, max_len=50, dim=64, layers=2, dropout=0.2)
         params = init_params(cfg, rng)
         ids = rng.integers(0, 61, size=(300, 50))
-        assert len(nn.batch_chunks(300, mdl.example_flops(cfg))) == 5
+        assert len(chunk_sizes(300, mdl.example_flops(cfg))) > 1
         loss_and_grads(params, cfg, ids, rng.integers(1, 61, size=300), 0.0, rng=rng)
         assert calls == {"build_tap_matrix": cfg.layers, "build_tap_matrix_backward": cfg.layers}
 
     def test_chunked_step_memory_high_water(self, monkeypatch):
         """A chunk keeps only what its backward reads and frees each
-        buffer after its last read: on one thread, a step of four 64-row
-        chunks peaks at ≤14 chunk activations (64·N·D float64 each), where
-        keeping every forward buffer to the end of the block took ~18."""
-        monkeypatch.setattr(nn, "_WORKERS", 1)
+        buffer after its last read, and each of the pool's two threads
+        holds one chunk at a time: a step of 256 rows in 32-row chunks
+        peaks at ≤24 chunk activations (32·N·D float64 each) over both
+        threads.  It measured 16.8-19.1; 64-row chunks took 31.5-33.6."""
+        monkeypatch.setattr(nn, "_WORKERS", 2)
         rng = np.random.default_rng(33)
         cfg = ModelConfig(num_items=700, max_len=50, dim=64, layers=2, dropout=0.2)
         params = init_params(cfg, rng)
         ids = rng.integers(0, 701, size=(256, 50))
         targets = rng.integers(1, 701, size=256)
-        assert len(nn.batch_chunks(256, mdl.example_flops(cfg))) == 4
+        assert len(chunk_sizes(256, mdl.example_flops(cfg))) > 2
         loss_and_grads(params, cfg, ids, targets, 1e-3, rng=rng)  # one-time allocations
         tracemalloc.start()
         try:
@@ -199,22 +199,22 @@ class TestLossAndGrads:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        chunk_array = 64 * cfg.max_len * cfg.dim * 8
-        assert peak <= 14 * chunk_array, f"peak {peak / chunk_array:.2f} chunk arrays"
+        chunk_array = 32 * cfg.max_len * cfg.dim * 8
+        assert peak <= 24 * chunk_array, f"peak {peak / chunk_array:.2f} chunk arrays"
 
 
     def test_chunk_gradients_are_summed_as_they_arrive(self, monkeypatch):
         """Each chunk's gradients are added into the step's once the earlier
-        chunks' are in: on one thread, a step of four 64-row chunks at
+        chunks' are in: on one thread, a step of 256 rows in chunks at
         V=12k peaks at ≤6 (V+1)·D tables, where keeping every chunk's
-        table gradient to the end of the step took ~7.1."""
+        table gradient to the end of the step took ~7.1 over four chunks."""
         monkeypatch.setattr(nn, "_WORKERS", 1)
         rng = np.random.default_rng(35)
         cfg = ModelConfig(num_items=12000, max_len=50, dim=64, layers=2, dropout=0.2)
         params = init_params(cfg, rng)
         ids = rng.integers(0, 12001, size=(256, 50))
         targets = rng.integers(1, 12001, size=256)
-        assert len(nn.batch_chunks(256, mdl.example_flops(cfg))) == 4
+        assert len(chunk_sizes(256, mdl.example_flops(cfg))) > 2
         loss_and_grads(params, cfg, ids, targets, 1e-3, rng=rng)  # one-time allocations
         tracemalloc.start()
         try:
@@ -311,7 +311,7 @@ class TestFit:
 
     def test_row_pool_size_changes_no_byte(self, monkeypatch, tmp_path, pool_shares):
         # at N=50, D=64 and L=2 every batch of this corpus (256, 256 and
-        # 220 rows) splits into 64-row chunks
+        # 220 rows) is cut into chunks
         corpus = make_synthetic(12, 40, 64, np.random.default_rng(8))
         cfg = ModelConfig(num_items=40, max_len=50, dim=64, dropout=0.2)
         tcfg = TrainConfig(lr=3e-3, epochs=2, batch_size=256, patience=2, seed=8)
@@ -336,6 +336,39 @@ class TestFit:
             assert bool(shares) == (workers == 2)
         assert len(runs[0][0].splitlines()) == 3
         assert runs[0] == runs[1]
+
+    @pytest.mark.skipif(
+        nn.pool_size() < 2 or nn.blas_threads() is None,
+        reason="needs a pool of two and numpy's bundled OpenBLAS",
+    )
+    def test_blas_thread_setting_changes_no_byte(self):
+        # the pool holds BLAS to one thread a call, so a chunked fit writes
+        # the same log and parameters whatever OPENBLAS_NUM_THREADS says
+        script = (
+            "import hashlib, json, numpy as np\n"
+            "from seqfilt import nn\n"
+            "from seqfilt.model import ModelConfig\n"
+            "from seqfilt.train import TrainConfig, fit, make_synthetic\n"
+            "corpus = make_synthetic(12, 40, 64, np.random.default_rng(8))\n"
+            "cfg = ModelConfig(num_items=40, max_len=50, dim=64, dropout=0.2)\n"
+            "tcfg = TrainConfig(lr=3e-3, epochs=2, batch_size=256, patience=2, seed=8)\n"
+            "params, log = fit(corpus, cfg, tcfg, timer=lambda: 0.0)\n"
+            "print(json.dumps([log.to_csv(), hashlib.sha256(nn.flatten(params)).hexdigest(), nn.blas_threads()]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tr.__file__)))
+        runs = {}
+        for threads in ("1", "2", None):
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+            )
+            assert done.returncode == 0, done.stderr
+            runs[threads] = json.loads(done.stdout)
+        assert len(runs["1"][0].splitlines()) == 3
+        assert runs["1"][2] == 1
+        assert runs["2"] == runs["1"] and runs[None] == runs["1"]
 
     def test_early_stop_returns_best_checkpoint(self):
         rng = np.random.default_rng(6)
