@@ -6,14 +6,18 @@ ASCII whitespace; item ids are positive (see `load_corpus`).
 Items are remapped to a dense 1..V range (0 is reserved for padding) and
 the mapping is kept so it can be persisted beside checkpoints.
 
-Examples are positions in one flat array of every user's full history
-(prefix, validation item, test item): example j predicts `items[ends[j]]`
-from `items[starts[j]:ends[j]]`, so memory is O(interactions).
+A corpus and its split hold one form, the loader's arrays: every user's
+full history back to back in a read-only int64 array `items`, user u's
+being `items[offsets[u]:offsets[u + 1]]`, so memory is O(interactions).
+The per-user lists (`Corpus.sequences`, `Split.prefixes`, `valid_targets`
+and `test_targets`) are read-only views, built on first read and cached.
+Example j predicts `items[ends[j]]` from `items[starts[j]:ends[j]]`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -60,41 +64,79 @@ class LoadReport:
         )
 
 
-@dataclass
-class Corpus:
+@dataclass(frozen=True, init=False, eq=False)
+class _Histories:
+    """Users' full histories back to back, read-only int64: user u's is
+    `items[offsets[u]:offsets[u + 1]]`.  Equal when the fields are."""
+
     users: list
-    sequences: list
     num_items: int
-    item_map: dict = field(default_factory=dict)
-    report: LoadReport | None = None
+    items: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
+
+    def _fill(self, users, num_items, items, offsets, **rest):
+        items.flags.writeable = offsets.flags.writeable = False
+        rest.update(users=list(users), num_items=num_items, items=items, offsets=offsets)
+        for name, value in rest.items():
+            object.__setattr__(self, name, value)
+        return self
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+    def _lists(self, drop):  # each history as Python ints, less its last `drop` items
+        flat, bounds = self.items.tolist(), self.offsets.tolist()
+        return [flat[lo : hi - drop] for lo, hi in zip(bounds, bounds[1:])]
 
 
-@dataclass(frozen=True)
-class Split:
+def _offsets(lengths):
+    return np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class Corpus(_Histories):
+    """Users' item sequences (dense ids 1..V), the item map and the load
+    report; `Corpus(users, sequences, num_items)` builds the arrays."""
+
+    item_map: dict
+    report: LoadReport | None
+
+    def __init__(self, users, sequences, num_items, item_map=None, report=None):
+        items = np.fromiter(chain.from_iterable(sequences), dtype=np.int64)
+        self._fill(users, num_items, items, _offsets([len(s) for s in sequences]),
+                   item_map={} if item_map is None else item_map, report=report)
+
+    @cached_property
+    def sequences(self):
+        return self._lists(0)
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class Split(_Histories):
     """Per-user leave-one-out split: history prefix, then the two held-out
-    targets (second-to-last for validation, last for testing).
+    targets (second-to-last for validation, last for testing).  It holds
+    the corpus's arrays; `Split(users, prefixes, valid_targets,
+    test_targets, num_items)` builds them from lists."""
 
-    Construction also builds the example index once: `items` holds every
-    user's full history (prefix, validation item, test item) back to
-    back, read-only, and user u's history is `items[offsets[u]:offsets[u + 1]]`.
-    The split is frozen, and the lists it is built from must not be
-    changed afterwards, since the index would not follow them."""
-
-    users: list
-    prefixes: list
-    valid_targets: list
-    test_targets: list
-    num_items: int
-    items: np.ndarray = field(init=False, repr=False, compare=False)
-    offsets: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        rows = zip(self.prefixes, self.valid_targets, self.test_targets)
+    def __init__(self, users, prefixes, valid_targets, test_targets, num_items):
+        rows = zip(prefixes, valid_targets, test_targets)
         items = np.fromiter(chain.from_iterable(chain(p, (v, t)) for p, v, t in rows), dtype=np.int64)
-        items.flags.writeable = False
-        sizes = np.fromiter(map(len, self.prefixes), dtype=np.int64, count=len(self.prefixes)) + 2
-        object.__setattr__(self, "items", items)
-        object.__setattr__(self, "offsets", np.concatenate(([0], np.cumsum(sizes))))
+        self._fill(users, num_items, items, _offsets([len(p) + 2 for p in prefixes]))
+
+    @cached_property
+    def prefixes(self):
+        return self._lists(2)
+
+    @cached_property
+    def valid_targets(self):
+        return self.items[self.offsets[1:] - 2].tolist()
+
+    @cached_property
+    def test_targets(self):
+        return self.items[self.offsets[1:] - 1].tolist()
 
 
 def load_corpus(path, min_interactions: int = MIN_INTERACTIONS) -> Corpus:
@@ -114,22 +156,20 @@ def load_corpus(path, min_interactions: int = MIN_INTERACTIONS) -> Corpus:
             f"{path}: no user has >= {min_keep} interactions; nothing to model"
         )
     distinct, dense = np.unique(items[np.repeat(keep, counts)], return_inverse=True)
-    flat = (dense + 1).tolist()
-    bounds = np.cumsum(counts[keep]).tolist()
-    sequences = [flat[lo:hi] for lo, hi in zip([0, *bounds], bounds)]
     kept = users[keep].tolist()
-    num_items = len(distinct)
+    num_items, total = len(distinct), len(dense)
     report = LoadReport(
         num_users=len(kept),
         num_items=num_items,
-        num_interactions=len(flat),
-        avg_length=len(flat) / len(kept),
-        sparsity=1.0 - len(flat) / (len(kept) * num_items),
+        num_interactions=total,
+        avg_length=total / len(kept),
+        sparsity=1.0 - total / (len(kept) * num_items),
         dropped_users=len(users) - len(kept),
         min_interactions=min_interactions,
     )
     item_map = dict(zip(distinct.tolist(), range(1, num_items + 1)))
-    return Corpus(kept, sequences, num_items, item_map, report)
+    return object.__new__(Corpus)._fill(kept, num_items, dense + 1, _offsets(counts[keep]),
+                                        item_map=item_map, report=report)
 
 
 # ids of at most 18 digits stay below 10**18 < 2**63, so int64 holds them
@@ -200,14 +240,9 @@ def _parse(raw, path):
 
 
 def split_loo(corpus: Corpus) -> Split:
-    prefixes, valid, test = [], [], []
-    for seq in corpus.sequences:
-        if len(seq) < 3:
-            raise DataError("every sequence needs >= 3 interactions to split")
-        prefixes.append(seq[:-2])
-        valid.append(seq[-2])
-        test.append(seq[-1])
-    return Split(list(corpus.users), prefixes, valid, test, corpus.num_items)
+    if (np.diff(corpus.offsets) < 3).any():
+        raise DataError("every sequence needs >= 3 interactions to split")
+    return object.__new__(Split)._fill(corpus.users, corpus.num_items, corpus.items, corpus.offsets)
 
 
 def train_examples(split: Split):
@@ -215,10 +250,10 @@ def train_examples(split: Split):
     history prefix, every position after the first is predicted from the
     items before it."""
     items, first, prefix_end = eval_instances(split, "valid")
-    user = np.repeat(np.arange(len(first)), prefix_end - first + 2)
-    pos = np.arange(len(items))
-    ends = np.flatnonzero((pos > first[user]) & (pos < prefix_end[user]))
-    return items, first[user[ends]], ends
+    # every position but a history's first and its two held-out items
+    keep = np.ones(len(items), dtype=bool)
+    keep[first] = keep[prefix_end] = keep[prefix_end + 1] = False
+    return items, np.repeat(first, np.maximum(prefix_end - first - 1, 0)), np.flatnonzero(keep)
 
 
 def eval_instances(split: Split, mode: str):

@@ -39,17 +39,10 @@ written through (`params[key][...] = x`), never rebound.  Forward passes
 return caches that the matching backward passes consume; there is no tape.
 Each backward pass returns the gradients of its own groups.
 
-Memory.  A block drops each forward transient once it is dead, and its
-cache keeps only what the backward reads and cannot rebuild in one pass:
-the block input, the two dropout masks, both layer norms' x̂ and the
-GELU input and Φ.  The FFN input and the GELU output are rebuilt in the
-backward by the same ops in the same order, so the bits do not change.
-`model_backward` consumes the cache: it pops each block's cache list,
-`_block_backward` empties it and releases every buffer after its last
-read, the layer-norm backwards build their shift in their x̂, and each
-block's second layer norm writes its dx into the block's `dy`, so
-`model_backward` consumes its `dx` too.  A pass that is not training
-keeps no cache: each block's is dropped as soon as the block returns.
+Memory.  A block's cache keeps only what the backward reads and cannot
+rebuild in one pass, `model_backward` consumes the caches and frees each
+buffer after its last read, and a pass that is not training keeps no
+cache (README, Memory).
 """
 
 from __future__ import annotations

@@ -19,40 +19,21 @@ cached x_hat; the GELU and dropout backwards leave their caches as they are.
 
 Threads.  The encoder and the head treat each example of a batch apart,
 so a batch is what gets shared out, not a kernel: `batch_chunks` cuts a
-batch into even chunks that each hold at least _SPLIT_MIN forward
-flops, of at most 32 examples where that floor allows, and `run_chunks`
-runs a job per chunk on a pool of min(2, usable CPUs) threads, the
-caller and one worker, which claim chunks from a shared counter, and
-yields the jobs' results in chunk order.  The worker is the one thread of a standard-library
-`ThreadPoolExecutor`, started by the first chunked batch; a forked
-child makes a fresh executor, since it inherits no threads.  The caller
-cancels the worker's task if the worker has not started it by the time
-the chunks ran out, and else waits for it.  `train.loss_and_grads` runs
-the forward pass, the head, the softmax and the backward pass of each
-chunk and sums the results, and `model.predict_scores_batch` scores
-each chunk, for its callers and for `evaluation.evaluate`; both size
-their chunks by `model.example_flops`, and a chunk's job never splits
-its rows again.  The filter operators and their backward, Adam and the
-orthogonality penalty run once per batch in the caller.  A batch with
-too little work for two chunks (batch-1 prediction, the small models'
-steps) runs whole in the caller's thread, with no handoff.  A chunk
-computes the same bits on either thread and its results come back in
-chunk order, so nothing depends on the pool size.  Each thread holds
-one chunk's activations at a time, so the row cap, not a kernel, sets a
-step's peak: on two threads, a long-window step of 256 rows holds two
-32-row chunks where it held two 64-row ones (long-window peak_rss_mb
-95.8 -> 83.5 MB, CHANGES.md).  When the pool has two threads,
-importing this module holds numpy's bundled OpenBLAS to one thread a
-call, so BLAS starts no threads of its own on the pool's cores and
-computes the same bits whatever OPENBLAS_NUM_THREADS says
-(`blas_threads`).
+batch into even chunks that each hold at least _SPLIT_MIN forward flops,
+of at most _CHUNK_ROWS examples where that floor allows, and
+`run_chunks` runs a job per chunk on a pool of min(2, usable CPUs)
+threads, the caller and the one worker of a standard-library
+`ThreadPoolExecutor`, which claim chunks from a shared counter, and
+yields the results in chunk order.  A chunk computes the same bits on
+either thread, so nothing depends on the pool size, and each thread
+holds one chunk's activations at a time, so the row cap sets a step's
+peak.  When the pool has two threads, importing this module holds
+numpy's bundled OpenBLAS to one thread a call, so BLAS starts no threads
+of its own on the pool's cores (`blas_threads`).  README, Threads, has
+the callers, the handoff and the measurements.
 
-Each training step allocates and frees hundreds of MB of such
-temporaries, and each prediction tens of MB.  Importing this module,
-which every `seqfilt` module does, sets one process-wide malloc policy
-(glibc only) so that freed blocks stay mapped for the next batch or call
-to reuse, instead of going back to the OS and being faulted in and zeroed
-again page by page.
+Importing this module, which every `seqfilt` module does, sets one
+process-wide malloc policy (`_keep_freed_memory`).
 
 Adam updates the one vector that every parameter group is a view of
 (`flat_views`) in one pass, with the same bits as group by group.  The
@@ -115,20 +96,11 @@ _OPENBLAS_CALLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads6
 
 # the pool: the caller plus at most one worker thread
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-# the forward flops a chunk must hold to be worth a thread: on one BLAS
-# thread, frozen long-window prediction (1.25 M flops an example) ran its
-# halves 0.96x as fast as the whole batch at 4 rows a half, 1.00x at 5
-# and 1.35x at 6, and long-history prediction (11 k) 0.94x at 512 rows
+# the forward flops a chunk must hold to be worth a thread (README, Threads)
 _SPLIT_MIN = 7_000_000
 # a batch is cut into chunks of at most this many rows, when each still
-# clears _SPLIT_MIN.  Each thread holds one chunk's activations, so the
-# cap sets a step's peak.  On two threads and one BLAS thread (2 vCPUs),
-# 32 rows against 64: long-window peak_rss_mb 95.8 -> 83.5 MB at 4,233
-# -> 4,317 examples/s (medians of ten benchmark pairs); a V=12k B=256
-# step (8x32 rows instead of 4x64) peaked at 35-50 MB instead of 49-62
-# (tracemalloc) in 90-94 ms instead of 85-110; at V=50k the four extra
-# (V+1)xD chunk-gradient sums cost 207-234 -> 234-268 ms a step, at a
-# peak of 115-167 MB instead of 153-179
+# clears _SPLIT_MIN; each thread holds one chunk's activations, so the
+# cap sets a step's peak (README, Memory)
 _CHUNK_ROWS = 32
 _PENDING = object()  # the result slot of a chunk not yet finished
 

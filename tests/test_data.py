@@ -1,5 +1,6 @@
 """Corpus parsing, leave-one-out splitting, and batching."""
 
+import tracemalloc
 from itertools import chain
 
 import numpy as np
@@ -316,6 +317,19 @@ class TestSplit:
                 idx += 1
         assert idx == len(ends)
 
+    @pytest.mark.parametrize("lengths", [[2], [3, 1], [5, 0, 4]])
+    def test_short_sequence_is_rejected(self, lengths):
+        seqs = [list(range(1, n + 1)) for n in lengths]
+        corpus = data.Corpus(list(range(len(seqs))), seqs, 5)
+        with pytest.raises(data.DataError, match="^every sequence needs >= 3 interactions to split$"):
+            data.split_loo(corpus)
+
+    def test_empty_prefix_gives_no_training_example(self):
+        split = data.Split([4, 5, 6], [[1, 2, 3], [], [2]], [4, 1, 3], [5, 2, 1], 5)
+        items, starts, ends = data.train_examples(split)
+        got = [(items[lo:hi].tolist(), items[hi]) for lo, hi in zip(starts, ends)]
+        assert got == list_examples(split, "train") == [([1], 2), ([1, 2], 3)]
+
     def test_test_context_includes_valid_item(self):
         corpus = data.Corpus([1], [[1, 2, 3, 4]], 4)
         split = data.split_loo(corpus)
@@ -418,3 +432,91 @@ class TestIndexOracle:
                 assert ids.dtype == np.int64 and targets.dtype == np.int64
                 assert np.array_equal(ids, want_ids)
                 assert np.array_equal(targets, want_targets)
+
+
+def loaded_files(tmp_path):
+    """Paths of the oracle's valid files that load, and of generated files,
+    each with its `min_interactions`; every generated file holds one user
+    with enough items to load."""
+    for case, (text, min_interactions) in sorted(VALID_FILES.items()):
+        if case != "all-dropped":
+            path = tmp_path / f"{case}.txt"
+            path.write_bytes(text.encode("ascii"))
+            yield path, min_interactions
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        path = tmp_path / f"generated-{seed}.txt"
+        rows = [*random_rows(rng), ["1000", "7", "8", "9"]]
+        path.write_bytes(render(rows, rng).encode("ascii"))
+        yield path, 3
+
+
+class TestArrayPath:
+    """The loader hands its arrays to the corpus and the split; the list
+    constructors build the same arrays, and the lists are derived views."""
+
+    def test_loaded_split_equals_list_built_split(self, tmp_path):
+        for path, min_interactions in loaded_files(tmp_path):
+            corpus = data.load_corpus(path, min_interactions)
+            got = data.split_loo(corpus)
+            want = data.split_loo(data.Corpus(corpus.users, corpus.sequences, corpus.num_items))
+            assert got == want
+            assert got.users == want.users and got.num_items == want.num_items
+            for name in ("items", "offsets"):
+                assert getattr(got, name).dtype == np.int64
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            for name in ("prefixes", "valid_targets", "test_targets"):
+                assert getattr(got, name) == getattr(want, name)
+                assert all(type(v) is int for v in chain.from_iterable(got.prefixes))
+                assert all(type(v) is int for v in got.valid_targets + got.test_targets)
+            got_examples, want_examples = data.train_examples(got), data.train_examples(want)
+            for a, b in zip(got_examples, want_examples):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            batches = [
+                list(data.make_batches(examples, 3, 4, np.random.default_rng(7)))
+                for examples in (got_examples, want_examples)
+            ]
+            assert len(batches[0]) == len(batches[1])
+            for (ids, targets), (want_ids, want_targets) in zip(*batches):
+                assert np.array_equal(ids, want_ids) and np.array_equal(targets, want_targets)
+
+    def test_views_are_derived_and_read_only(self):
+        corpus = data.Corpus([3, 1], [[1, 2, 3, 4], [2, 2, 1]], 4)
+        assert corpus.items.tolist() == [1, 2, 3, 4, 2, 2, 1]
+        assert corpus.offsets.tolist() == [0, 4, 7]
+        assert corpus.sequences == [[1, 2, 3, 4], [2, 2, 1]]
+        split = data.split_loo(corpus)
+        assert (split.prefixes, split.valid_targets, split.test_targets) == ([[1, 2], [2]], [3, 2], [4, 1])
+        assert split == data.Split([3, 1], [[1, 2], [2]], [3, 2], [4, 1], 4)
+        assert split != data.Split([3, 1], [[1, 2], [2]], [3, 2], [4, 2], 4)
+        assert corpus != data.Corpus([3, 1], [[1, 2, 3], [4, 2, 2, 1]], 4)
+        for obj, name in ((corpus, "sequences"), (split, "prefixes"), (split, "items")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, [])
+        with pytest.raises(ValueError):
+            split.items[0] = 9
+
+    def test_setup_builds_no_per_user_lists(self, tmp_path):
+        path = write_corpus(tmp_path, ["1 4 5 6 7 8", "2 9 9 4", "3 10 11 12 13 14 15"])
+        corpus = data.load_corpus(path, min_interactions=3)
+        split = data.split_loo(corpus)
+        data.train_examples(split)
+        list(data.make_batches(data.eval_instances(split, "test"), 4, 2))
+        assert "sequences" not in vars(corpus)
+        assert not {"prefixes", "valid_targets", "test_targets"} & set(vars(split))
+        assert split.items is corpus.items and split.offsets is corpus.offsets
+
+    def test_setup_peak_memory_is_array_sized(self, tmp_path):
+        """~100k interactions: loading, splitting and indexing the examples
+        peaks at 62.3 bytes an interaction, in the parser's temporaries
+        (tracemalloc; per-user lists of Python ints took it to 99.4)."""
+        rng = np.random.default_rng(0)
+        rows = [[u, *rng.integers(1, 5001, size=200)] for u in range(1, 501)]
+        path = write_corpus(tmp_path, [" ".join(map(str, row)) for row in rows])
+        tracemalloc.start()
+        try:
+            data.train_examples(data.split_loo(data.load_corpus(path)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 75 * 100_000

@@ -2,7 +2,6 @@
 
 import sys
 import threading
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,6 +119,11 @@ def make_synthetic_random(num_users, num_items, rng):
     sit among its user's seen items."""
     seqs = [rng.integers(1, num_items + 1, size=rng.integers(3, 13)).tolist() for _ in range(num_users)]
     return Corpus(list(range(num_users)), seqs, num_items)
+
+
+def with_prefixes(split, prefixes):
+    """The split with other history prefixes and the same targets."""
+    return Split(split.users, prefixes, split.valid_targets, split.test_targets, split.num_items)
 
 
 def oracle_ranks(scores, targets, contexts=None):
@@ -251,14 +255,14 @@ class TestEvaluate:
     def test_empty_split_errors(self, rng):
         split = Split([], [], [], [], 6)
         cfg = ModelConfig(num_items=6, max_len=4, dim=4, layers=1, num_bases=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty split"):
             ev.evaluate(split, init_params(cfg, rng), cfg)
 
     def test_report_counts_empty_contexts(self, rng):
         cfg = ModelConfig(num_items=6, max_len=4, dim=4, layers=1, num_bases=2)
         params = init_params(cfg, rng)
         split = split_loo(make_synthetic(4, 6, 4, rng))
-        split = replace(split, prefixes=[[]] + split.prefixes[1:])
+        split = with_prefixes(split, [[]] + split.prefixes[1:])
         report = ev.evaluate(split, params, cfg, mode="valid")
         assert report.num_empty_context == 1
 
@@ -272,7 +276,7 @@ class TestEvaluate:
         ]
         seqs.append([early, 1, 2, 3, 4, 5, 6])
         split = split_loo(Corpus(list(range(11)), seqs, early))
-        split = replace(split, prefixes=split.prefixes[:4] + [[]] + split.prefixes[5:])
+        split = with_prefixes(split, split.prefixes[:4] + [[]] + split.prefixes[5:])
         cfg = ModelConfig(num_items=early, max_len=4, dim=8, layers=1, num_bases=3)
         params = init_params(cfg, rng)
         for mode in ("valid", "test"):
@@ -386,7 +390,7 @@ class TestEvaluateBatches:
         rng = np.random.default_rng(seed)
         split = split_loo(make_synthetic_random(19, 30, rng))
         # user 0's validation context is empty
-        return replace(split, prefixes=[[]] + split.prefixes[1:]), init_params(self.CFG, rng)
+        return with_prefixes(split, [[]] + split.prefixes[1:]), init_params(self.CFG, rng)
 
     def test_reports_equal_the_oracle(self):
         split, params = self.make_split()
