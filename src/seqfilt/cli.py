@@ -128,8 +128,14 @@ def _write_manifest(path, payload) -> None:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="seqfilt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags that several commands take, each declared once
+    out = _Parser(add_help=False)
+    out.add_argument("--out", required=True)
+    out.add_argument("--force", action="store_true")
+    ckpt = _Parser(add_help=False)
+    ckpt.add_argument("--checkpoint", required=True)
 
-    tr = sub.add_parser("train", help="train a model on an interaction file")
+    tr = sub.add_parser("train", parents=[out], help="train a model on an interaction file")
     tr.add_argument("--data", required=True, help="interaction file (user then items per line)")
     # each config flag's dest is its field's name and its default the field's
     tr.add_argument("--max-len", type=int, default=ModelConfig.max_len)
@@ -147,30 +153,19 @@ def _build_parser() -> _Parser:
     tr.add_argument("--seed", type=int, default=TrainConfig.seed)
     tr.add_argument("--mode", dest="filter_mode", choices=FILTER_MODES, default=ModelConfig.filter_mode)
     tr.add_argument("--min-interactions", type=int, default=MIN_INTERACTIONS)
-    tr.add_argument("--out", required=True)
-    tr.add_argument("--force", action="store_true")
 
-    ev = sub.add_parser("eval", help="full-ranking evaluation of a checkpoint")
-    ev.add_argument("--checkpoint", required=True)
+    ev = sub.add_parser("eval", parents=[ckpt, out], help="full-ranking evaluation of a checkpoint")
     ev.add_argument("--data", required=True)
     ev.add_argument("--split", choices=("valid", "test"), default="test")
     ev.add_argument("--filter-seen", action="store_true")
     ev.add_argument("--batch", type=_at_least(1), default=256)
-    ev.add_argument("--out", required=True)
-    ev.add_argument("--force", action="store_true")
 
-    ex = sub.add_parser("export-filters", help="write per-layer applied taps Re(H) as CSV")
-    ex.add_argument("--checkpoint", required=True)
-    ex.add_argument("--out", required=True)
-    ex.add_argument("--force", action="store_true")
+    sub.add_parser("export-filters", parents=[ckpt, out], help="write per-layer applied taps Re(H) as CSV")
 
-    be = sub.add_parser("bench", help="compare frozen vs unfrozen inference time")
-    be.add_argument("--checkpoint", required=True)
+    be = sub.add_parser("bench", parents=[ckpt, out], help="compare frozen vs unfrozen inference time")
     be.add_argument("--repeats", type=_at_least(1), default=5)
     be.add_argument("--batch", type=_at_least(1), default=256)
     be.add_argument("--seed", type=_at_least(0), default=0)
-    be.add_argument("--out", required=True)
-    be.add_argument("--force", action="store_true")
     return parser
 
 

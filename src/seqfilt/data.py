@@ -11,7 +11,9 @@ full history back to back in a read-only int64 array `items`, user u's
 being `items[offsets[u]:offsets[u + 1]]`, so memory is O(interactions).
 The per-user lists (`Corpus.sequences`, `Split.prefixes`, `valid_targets`
 and `test_targets`) are read-only views, built on first read and cached.
-Example j predicts `items[ends[j]]` from `items[starts[j]:ends[j]]`.
+Example j predicts `items[ends[j]]` from `items[starts[j]:ends[j]]`.  Only
+this module knows the layout: `eval_instances` places the held-out items,
+and `seen_index` lists what a user has seen.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "split_loo",
     "train_examples",
     "eval_instances",
+    "seen_index",
     "make_batches",
     "MIN_INTERACTIONS",
 ]
@@ -132,11 +135,11 @@ class Split(_Histories):
 
     @cached_property
     def valid_targets(self):
-        return self.items[self.offsets[1:] - 2].tolist()
+        return self.items[eval_instances(self, "valid")[2]].tolist()
 
     @cached_property
     def test_targets(self):
-        return self.items[self.offsets[1:] - 1].tolist()
+        return self.items[eval_instances(self, "test")[2]].tolist()
 
 
 def load_corpus(path, min_interactions: int = MIN_INTERACTIONS) -> Corpus:
@@ -252,7 +255,7 @@ def train_examples(split: Split):
     items, first, prefix_end = eval_instances(split, "valid")
     # every position but a history's first and its two held-out items
     keep = np.ones(len(items), dtype=bool)
-    keep[first] = keep[prefix_end] = keep[prefix_end + 1] = False
+    keep[first] = keep[prefix_end] = keep[eval_instances(split, "test")[2]] = False
     return items, np.repeat(first, np.maximum(prefix_end - first - 1, 0)), np.flatnonzero(keep)
 
 
@@ -264,6 +267,22 @@ def eval_instances(split: Split, mode: str):
         raise ValueError(f"mode must be 'valid' or 'test', got {mode!r}")
     starts, stops = split.offsets[:-1], split.offsets[1:]
     return split.items, starts, stops - (2 if mode == "valid" else 1)
+
+
+def seen_index(split: Split, mode: str, users: slice, width: int):
+    """The seen items of `users` (a slice of the split's users) as one flat
+    index into a raveled (rows, width) score block, row r's item i at
+    r·width + i: each history up to and including the `mode` target, by
+    one multiply-add over a contiguous run of the split's index.  Listing
+    the target is harmless, as `evaluate` masks it once its score is read;
+    in valid mode the test item is listed as the target again."""
+    bounds = split.offsets[users.start : users.stop + 1]
+    seen = np.repeat(np.arange(0, width * (len(bounds) - 1), width), np.diff(bounds))
+    seen += split.items[bounds[0] : bounds[-1]]
+    if mode == "valid":
+        test = bounds[1:] - bounds[0] - 1
+        seen[test] = seen[test - 1]
+    return seen
 
 
 def make_batches(examples, max_len, batch_size, rng=None):

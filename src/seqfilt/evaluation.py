@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Split, eval_instances, make_batches
+from .data import Split, eval_instances, make_batches, seen_index
 from .model import ModelConfig, freeze_filters, predict_scores_batch
 from .nn import InvalidTarget, NumericError
 
@@ -112,27 +112,9 @@ def aggregate_ranks(ranks, mode, num_empty_context=0, filter_seen=False) -> Eval
     return EvalReport(mode, int(ranks.size), num_empty_context, filter_seen, hr, ndcg)
 
 
-def _seen_index(split: Split, mode: str, users: slice, width: int):
-    """The seen items of `users` (a slice of the split's users, in order)
-    as one flat index into a raveled (rows, width) score block: row r's
-    item i is r·width + i.  It lists each user's history up to and
-    including the `mode` target, one multiply-add over a contiguous run
-    of the split's index.  Listing the target does not matter, since
-    `_batched_ranks` reads its score first and masks it anyway; in valid
-    mode the test item, which follows the target, is listed as the
-    target again."""
-    bounds = split.offsets[users.start : users.stop + 1]
-    seen = np.repeat(np.arange(0, width * (len(bounds) - 1), width), np.diff(bounds))
-    seen += split.items[bounds[0] : bounds[-1]]
-    if mode == "valid":
-        test = bounds[1:] - bounds[0] - 1
-        seen[test] = seen[test - 1]
-    return seen
-
-
 def _batched_ranks(logits, targets, seen=None):
     """Ranks over a (B, V) score block; each matches rank_of_target with
-    the padding id and, given a `_seen_index`, the row's seen items
+    the padding id and, given a `data.seen_index`, the row's seen items
     excluded.  Overwrites `logits`: once each row's own score is read, the
     padding column, the seen items and the target are set to -inf, so they
     never count as better or tied and a seen target needs no special case.
@@ -184,7 +166,7 @@ def evaluate(
     for b, (ids, targets) in enumerate(make_batches(examples, cfg.max_len, batch_size)):
         users = slice(b * batch_size, b * batch_size + len(ids))
         logits = predict_scores_batch(params, cfg, ids, frozen_ops=ops)
-        seen = _seen_index(split, mode, users, logits.shape[1]) if filter_seen else None
+        seen = seen_index(split, mode, users, logits.shape[1]) if filter_seen else None
         ranks[users] = _batched_ranks(logits, targets, seen)
     if ranks.min() < 1:
         i = int(np.flatnonzero(ranks < 1)[0])

@@ -118,6 +118,17 @@ class CheckpointError(ValueError):
     pass
 
 
+def check_integers(config, names, or_none=()) -> None:
+    """TypeError for the first of `config`'s fields `names` not an integer
+    (a bool is not; one in `or_none` may be None): a float equal to an integer
+    would pass the range checks and a checkpoint's shapes, then fail at use."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if value is not None or name not in or_none:
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     num_items: int
@@ -130,13 +141,8 @@ class ModelConfig:
     filter_mode: str = "causal"
 
     def __post_init__(self):
-        # a float that equals an integer would pass the checks below and
-        # even match a checkpoint's array shapes, then fail at first use
-        for name in ("num_items", "max_len", "dim", "layers", "num_bases", "filter_order"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                if name != "filter_order" or value is not None:
-                    raise TypeError(f"{name} must be an integer, got {value!r}")
+        names = ("num_items", "max_len", "dim", "layers", "num_bases", "filter_order")
+        check_integers(self, names, or_none=("filter_order",))
         if self.num_items < 1:
             raise ValueError("need at least one item")
         if self.max_len < 1 or self.dim < 1 or self.layers < 1:

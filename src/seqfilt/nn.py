@@ -489,7 +489,7 @@ def adam_step(params, grads, state: AdamState) -> None:
             )
         if p.base is not state.flat:
             raise ValueError(f"parameter {key} was rebound after adam_init: write params[{key!r}][...]")
-    g = np.concatenate([grads[key] for key in sorted(params)], axis=None)
+    g = flatten(grads)
     state.step += 1
     t = state.step
     correct1 = 1.0 - _BETA1**t

@@ -15,7 +15,6 @@ batch and the first non-finite parameter group."""
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -24,7 +23,7 @@ import numpy as np
 from .data import Corpus, DataError, make_batches, split_loo, train_examples
 from .evaluation import evaluate
 from .model import ModelConfig, atomic_open, filter_backward, filter_operators, init_params, param_shapes
-from .model import example_flops, model_backward, model_forward, score_logits
+from .model import check_integers, example_flops, model_backward, model_forward, score_logits
 from .nn import NumericError, adam_init, adam_step, batch_chunks, flat_views, run_chunks, softmax_xent_batch
 
 __all__ = [
@@ -46,10 +45,7 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "patience", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
+        check_integers(self, ("epochs", "batch_size", "patience", "seed"))
         if not 0 < self.lr < np.inf:
             raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
         if not 0 <= self.alpha < np.inf:

@@ -9,7 +9,7 @@ import pytest
 from conftest import chunk_sizes
 from seqfilt import evaluation as ev
 from seqfilt import nn
-from seqfilt.data import Corpus, Split, eval_instances, make_batches, split_loo
+from seqfilt.data import Corpus, Split, eval_instances, make_batches, seen_index, split_loo
 from seqfilt.model import (
     ModelConfig,
     example_flops,
@@ -153,7 +153,7 @@ class TestBatchedRanks:
         contexts = [[2, 1], [4, 3, 2]]
         # test-mode contexts are prefix plus validation item
         split = Split([7, 8], [[2], [4, 3]], [1, 2], [2, 4], 4)
-        seen = ev._seen_index(split, "test", slice(0, 2), 5)
+        seen = seen_index(split, "test", slice(0, 2), 5)
         # each row's context, then its target, which is masked anyway
         assert seen.tolist() == [2, 1, 2, 9, 8, 7, 9]
         got = ev._batched_ranks(scores.copy(), targets, seen)
@@ -162,9 +162,9 @@ class TestBatchedRanks:
     def test_valid_seen_index_leaves_out_the_test_item(self):
         # user 8's test item 1 is in neither its context nor its target
         split = Split([7, 8], [[2], [4, 3]], [1, 2], [2, 1], 4)
-        seen = ev._seen_index(split, "valid", slice(0, 2), 5)
+        seen = seen_index(split, "valid", slice(0, 2), 5)
         assert seen.tolist() == [2, 1, 1, 9, 8, 7, 7]
-        assert ev._seen_index(split, "valid", slice(1, 2), 5).tolist() == [4, 3, 2, 2]
+        assert seen_index(split, "valid", slice(1, 2), 5).tolist() == [4, 3, 2, 2]
 
     @pytest.mark.parametrize("mode", ["valid", "test"])
     def test_seen_index_lists_each_context_and_target(self, rng, mode):
@@ -172,7 +172,7 @@ class TestBatchedRanks:
         items, starts, ends = eval_instances(split, mode)
         for lo in range(9):
             for hi in range(lo + 1, 10):
-                seen = ev._seen_index(split, mode, slice(lo, hi), 13)
+                seen = seen_index(split, mode, slice(lo, hi), 13)
                 want = {r * 13 + i for r, u in enumerate(range(lo, hi)) for i in items[starts[u] : ends[u] + 1]}
                 assert set(seen.tolist()) == want
 
@@ -195,7 +195,7 @@ class TestBatchedRanks:
             got = []
             for lo in range(0, 11, 4):
                 rows = slice(lo, min(lo + 4, 11))
-                seen = ev._seen_index(split, mode, rows, 13)
+                seen = seen_index(split, mode, rows, 13)
                 got.extend(ev._batched_ranks(scores[rows].copy(), targets[rows], seen))
             assert got == want.tolist()
 
