@@ -99,17 +99,26 @@ def _offsets(lengths):
     return np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
 
 
+def _item_ids(rows, num_items):
+    """The ids of `rows` back to back, as int64; DataError unless each lies
+    in 1..num_items."""
+    items = np.fromiter(chain.from_iterable(rows), dtype=np.int64)
+    if items.size and not 1 <= items.min() <= items.max() <= num_items:
+        raise DataError(f"item ids must lie in [1, {num_items}], got [{items.min()}, {items.max()}]")
+    return items
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class Corpus(_Histories):
     """Users' item sequences (dense ids 1..V), the item map and the load
-    report; `Corpus(users, sequences, num_items)` builds the arrays."""
+    report; `Corpus(users, sequences, num_items)` builds the arrays and
+    raises `DataError` for an id outside 1..V."""
 
     item_map: dict
     report: LoadReport | None
 
     def __init__(self, users, sequences, num_items, item_map=None, report=None):
-        items = np.fromiter(chain.from_iterable(sequences), dtype=np.int64)
-        self._fill(users, num_items, items, _offsets([len(s) for s in sequences]),
+        self._fill(users, num_items, _item_ids(sequences, num_items), _offsets([len(s) for s in sequences]),
                    item_map={} if item_map is None else item_map, report=report)
 
     @cached_property
@@ -122,11 +131,11 @@ class Split(_Histories):
     """Per-user leave-one-out split: history prefix, then the two held-out
     targets (second-to-last for validation, last for testing).  It holds
     the corpus's arrays; `Split(users, prefixes, valid_targets,
-    test_targets, num_items)` builds them from lists."""
+    test_targets, num_items)` builds them from lists, as `Corpus` does."""
 
     def __init__(self, users, prefixes, valid_targets, test_targets, num_items):
         rows = zip(prefixes, valid_targets, test_targets)
-        items = np.fromiter(chain.from_iterable(chain(p, (v, t)) for p, v, t in rows), dtype=np.int64)
+        items = _item_ids((chain(p, (v, t)) for p, v, t in rows), num_items)
         self._fill(users, num_items, items, _offsets([len(p) + 2 for p in prefixes]))
 
     @cached_property

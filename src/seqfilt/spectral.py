@@ -80,7 +80,11 @@ def _cached_basis(size: int, order: int) -> SpectralBasis:
     lam = np.exp(-2j * np.pi * n / size)
     # exact e^0 = 1 in column zero; powers evaluated in closed form
     van = np.exp(-2j * np.pi * np.outer(n, np.arange(order + 1)) / size)
-    return SpectralBasis(size, order, fwd, fwd.conj().T, lam, van)
+    basis = SpectralBasis(size, order, fwd, fwd.conj().T, lam, van)
+    # every caller shares this instance, so a write would reach them all
+    for array in (basis.forward, basis.eigenvectors, basis.eigenvalues, basis.vandermonde):
+        array.flags.writeable = False
+    return basis
 
 
 def make_basis(size: int, order: int = 0) -> SpectralBasis:

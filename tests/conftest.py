@@ -1,5 +1,7 @@
 """Shared numeric helpers and fixtures for the test suite."""
 
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -62,6 +64,19 @@ def chunk_sizes(rows, work):
     if rows // -(-rows // nn._CHUNK_ROWS) * work >= nn._SPLIT_MIN:
         assert max(sizes) <= nn._CHUNK_ROWS, case
     return sizes
+
+
+def run_fresh(script, timeout, env=os.environ):
+    """`script` run by `sys.executable -c` under `env` in a fresh
+    interpreter that imports this checkout's `seqfilt`: one whose threads
+    and malloc state this process did not shape.  Returns the finished
+    process, once it has exited 0."""
+    env = dict(env, PYTHONPATH=os.path.dirname(os.path.dirname(nn.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=timeout
+    )
+    assert done.returncode == 0, done.stderr
+    return done
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 from pathlib import Path
 
@@ -361,6 +362,30 @@ class TestEval:
         for key, want in want_params.items():
             assert params[key].tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize(
+        ("case", "reason"),
+        [
+            ("missing-data-file", "data file {data} does not exist"),
+            # with no sha256 to compare, the corpus's item count is checked
+            ("no-sha256-other-item-count", "checkpoint expects 12 items, corpus has 3"),
+        ],
+        ids=["missing-data-file", "no-sha256-other-item-count"],
+    )
+    def test_data_mismatch_is_one_line_data_error(self, tmp_path, run_dir, capsys, case, reason):
+        params, cfg, meta = load_checkpoint(run_dir / "checkpoint.bin")
+        del meta["data_sha256"]
+        ckpt = tmp_path / "checkpoint.bin"
+        save_checkpoint(ckpt, params, cfg, meta=meta)
+        data = tmp_path / "data.txt"
+        if case != "missing-data-file":
+            data.write_text("1 1 2 3\n2 2 3 1\n3 3 1 2\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"data error: {reason.format(data=data)}\n", err
+        assert not out.exists()
+
     def test_wrong_data_rejected(self, tmp_path, run_dir):
         other = tmp_path / "other.txt"
         other.write_text("1 1 2 3\n2 2 3 1\n3 3 1 2\n", encoding="utf-8")
@@ -566,7 +591,34 @@ def set_field(header, field, kind):
     return node[last]
 
 
+# Checkpoint files that are broken outside the header's fields: (edit of
+# the file's bytes, a pattern for the end of the error message)
+CORRUPT_FILES = {
+    "header-length-not-integer": (lambda raw: raw.replace(b"\n", b"\nx", 1), "corrupt header length$"),
+    # the same length, so the whole header is read
+    "header-not-json": (lambda raw: raw.replace(b'"config":', b'"config";', 1), "corrupt header$"),
+    "short-data": (lambda raw: raw[:-8], r"expected \d+ data bytes, got \d+$"),
+}
+
+
 class TestBrokenCheckpoint:
+    @pytest.mark.parametrize("command", ["eval", "export-filters", "bench"])
+    @pytest.mark.parametrize("case", sorted(CORRUPT_FILES))
+    def test_corrupt_file_is_data_error(self, tmp_path, corpus_file, run_dir, capsys, command, case):
+        damage, reason = CORRUPT_FILES[case]
+        ckpt = tmp_path / "checkpoint.bin"
+        ckpt.write_bytes(damage((run_dir / "checkpoint.bin").read_bytes()))
+        with pytest.raises(CheckpointError, match=reason):
+            load_checkpoint(ckpt)
+        out = tmp_path / "out"
+        extra = ["--data", str(corpus_file)] if command == "eval" else []
+        code = cli.main([command, "--checkpoint", str(ckpt), "--out", str(out), *extra])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and re.search(reason, err), err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["eval", "export-filters", "bench"])
     @pytest.mark.parametrize(
         "edit",

@@ -324,6 +324,26 @@ class TestSplit:
         with pytest.raises(data.DataError, match="^every sequence needs >= 3 interactions to split$"):
             data.split_loo(corpus)
 
+    @pytest.mark.parametrize(
+        ("build", "got"),
+        [
+            (lambda: data.Corpus([1], [[1, 6, 2]], 5), "[1, 6]"),
+            (lambda: data.Corpus([1, 2], [[1, 2, 3], [4, 0, 5]], 5), "[0, 5]"),
+            (lambda: data.Split([1, 2], [[1, 2], [3, 4]], [7, 5], [1, 2], 5), "[1, 7]"),
+            (lambda: data.Split([1], [[1]], [2], [-1], 5), "[-1, 2]"),
+        ],
+        ids=["corpus-past-catalog", "corpus-padding", "split-valid-target", "split-test-target"],
+    )
+    def test_item_id_outside_catalog_is_rejected(self, build, got):
+        with pytest.raises(data.DataError) as err:
+            build()
+        assert str(err.value) == f"item ids must lie in [1, 5], got {got}"
+
+    def test_eval_instances_rejects_other_modes(self):
+        split = data.Split([1], [[1]], [2], [3], 3)
+        with pytest.raises(ValueError, match="mode must be 'valid' or 'test'"):
+            data.eval_instances(split, "train")
+
     def test_empty_prefix_gives_no_training_example(self):
         split = data.Split([4, 5, 6], [[1, 2, 3], [], [2]], [4, 1, 3], [5, 2, 1], 5)
         items, starts, ends = data.train_examples(split)

@@ -42,6 +42,7 @@ class TestConfig:
             dict(dropout=-0.1),
             dict(layers=0),
             dict(filter_mode="other"),
+            dict(num_items=0),
         ],
     )
     def test_rejects_bad_values(self, bad):
@@ -80,6 +81,13 @@ class TestBuildTapMatrix:
         bi[1] = 0.0
         with pytest.raises(mdl.NormalizationError):
             mdl.build_tap_matrix(rng.normal(size=(5, 3)), br, bi)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_basis_raises(self, rng, bad):
+        br = rng.normal(size=(3, 4))
+        br[2, 1] = bad
+        with pytest.raises(mdl.NormalizationError, match="non-finite"):
+            mdl.build_tap_matrix(rng.normal(size=(5, 3)), br, rng.normal(size=(3, 4)))
 
     def test_gradients_through_normalization(self, rng):
         coef = rng.normal(size=(4, 3))
@@ -132,6 +140,13 @@ class TestEmbedding:
         ids = np.full((1, 8), 21)
         with pytest.raises(mdl.OutOfVocabulary):
             mdl.model_forward(params, cfg, ids)
+
+    @pytest.mark.parametrize("shape", [(8,), (2, 7), (2, 9), (1, 2, 8)])
+    def test_ids_of_wrong_shape_are_rejected(self, rng, shape):
+        cfg = tiny_config()
+        params = mdl.init_params(cfg, rng)
+        with pytest.raises(nn.ShapeMismatch, match=r"ids must be \(batch, 8\)"):
+            mdl.model_forward(params, cfg, np.ones(shape, dtype=int))
 
     @pytest.mark.parametrize("mode", mdl.FILTER_MODES)
     def test_band_is_built_once_per_config_and_read_only(self, mode):

@@ -5,7 +5,6 @@ errors and threads."""
 import json
 import multiprocessing
 import os
-import subprocess
 import sys
 import threading
 import time
@@ -14,7 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import chunk_sizes, finite_diff, rel_err
+from conftest import chunk_sizes, finite_diff, rel_err, run_fresh
 from seqfilt import nn, train
 from seqfilt.model import ModelConfig, example_flops, freeze_filters, init_params, predict_scores_batch
 from seqfilt.train import loss_and_grads
@@ -226,6 +225,12 @@ class TestSoftmaxXent:
         with pytest.raises(nn.InvalidTarget):
             softmax_xent(np.zeros(5), 7)
 
+    @pytest.mark.parametrize("target", [0, 5], ids=["padding", "past-catalog"])
+    def test_batch_rejects_target_outside_catalog(self, target):
+        # columns 1..4 are the items of a (B, V+1) block with V = 4
+        with pytest.raises(nn.InvalidTarget, match="non-padding item ids"):
+            nn.softmax_xent_batch(np.zeros((2, 5)), np.array([1, target]))
+
     def test_batch_matches_single(self, rng):
         logits = rng.normal(size=(6, 9))
         targets = rng.integers(1, 9, size=6)
@@ -249,6 +254,11 @@ class TestOrthoPenalty:
         b = q[:3]
         loss, _, _ = nn.ortho_penalty(b, b.copy(), alpha=1.0)
         assert loss <= 1e-12
+
+    def test_negative_alpha_is_rejected(self, rng):
+        b = rng.normal(size=(3, 5))
+        with pytest.raises(ValueError, match="non-negative"):
+            nn.ortho_penalty(b, b, alpha=-1e-3)
 
     def test_alpha_zero(self, rng):
         b = rng.normal(size=(3, 5))
@@ -644,11 +654,7 @@ class TestRowPool:
             "seen.append(alive())\n"
             "print(json.dumps(seen))\n"
         )
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nn.__file__)))
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert done.returncode == 0, done.stderr
+        done = run_fresh(script, timeout=120)
         assert json.loads(done.stdout) == [False, False, True]
 
     def test_chunks_run_after_the_main_thread_ended(self):
@@ -666,11 +672,7 @@ class TestRowPool:
             "    print(sorted(done))\n"
             "threading.Thread(target=late).start()\n"
         )
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nn.__file__)))
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert done.returncode == 0, done.stderr
+        done = run_fresh(script, timeout=120)
         assert done.stderr == ""
         assert json.loads(done.stdout) == [0, 1, 2, 3]
 

@@ -115,6 +115,14 @@ class TestBasis:
         x = rng.normal(size=9) + 1j * rng.normal(size=9)
         assert np.abs(basis.igft(basis.gft(x)) - x).max() <= 1e-12
 
+    @pytest.mark.parametrize("name", ["forward", "eigenvectors", "eigenvalues", "vandermonde"])
+    def test_shared_basis_is_read_only(self, name):
+        # every caller of make_basis(6, 2) gets this one instance
+        array = getattr(sp.make_basis(6, 2), name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+        assert sp.make_basis(6, 2) is sp.make_basis(6, 2)
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             sp.make_basis(0)

@@ -4,16 +4,14 @@ early stopping, determinism, and the synthetic corpus generator."""
 import json
 import os
 import platform
-import subprocess
-import sys
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import chunk_sizes, finite_diff, rel_err
-from seqfilt.data import Corpus, split_loo
+from conftest import chunk_sizes, finite_diff, rel_err, run_fresh
+from seqfilt.data import Corpus, DataError, split_loo
 from seqfilt.evaluation import evaluate
 from seqfilt import model as mdl, nn
 from seqfilt.model import ModelConfig, init_params, save_checkpoint
@@ -31,17 +29,6 @@ def small_setup(rng, **cfg_overrides):
     ids[:, :2] = 0
     targets = rng.integers(1, 21, size=6)
     return cfg, params, ids, targets
-
-
-def run_fresh(script):
-    """JSON printed by `script` run in a fresh interpreter, whose malloc
-    state is not shaped by what this process allocated and freed before."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tr.__file__)))
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout)
 
 
 glibc_only = pytest.mark.skipif(
@@ -287,6 +274,15 @@ class TestMakeSynthetic:
         corpus = make_synthetic(500, 50, 20, rng)
         assert sum(len(s) for s in corpus.sequences) == 10_000
 
+    @pytest.mark.parametrize(
+        ("num_items", "seq_len", "reason"),
+        [(1, 5, "at least two items"), (5, 2, "length >= 3")],
+        ids=["one-item", "short-sequences"],
+    )
+    def test_unsplittable_corpus_is_rejected(self, rng, num_items, seq_len, reason):
+        with pytest.raises(ValueError, match=reason):
+            make_synthetic(4, num_items, seq_len, rng)
+
 
 class TestFit:
     def test_loss_decreases(self):
@@ -355,20 +351,23 @@ class TestFit:
             "params, log = fit(corpus, cfg, tcfg, timer=lambda: 0.0)\n"
             "print(json.dumps([log.to_csv(), hashlib.sha256(nn.flatten(params)).hexdigest(), nn.blas_threads()]))\n"
         )
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tr.__file__)))
+        env = dict(os.environ)
         runs = {}
         for threads in ("1", "2", None):
             env.pop("OPENBLAS_NUM_THREADS", None)
             if threads is not None:
                 env["OPENBLAS_NUM_THREADS"] = threads
-            done = subprocess.run(
-                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
-            )
-            assert done.returncode == 0, done.stderr
-            runs[threads] = json.loads(done.stdout)
+            runs[threads] = json.loads(run_fresh(script, timeout=300, env=env).stdout)
         assert len(runs["1"][0].splitlines()) == 3
         assert runs["1"][2] == 1
         assert runs["2"] == runs["1"] and runs[None] == runs["1"]
+
+    def test_corpus_without_training_example_is_data_error(self):
+        # three items a user: one to validate, one to test, one context
+        corpus = Corpus([1, 2], [[1, 2, 3], [3, 2, 1]], 3)
+        cfg = ModelConfig(num_items=3, max_len=4, dim=8, layers=1, num_bases=2)
+        with pytest.raises(DataError, match="no training examples"):
+            fit(corpus, cfg, TrainConfig(epochs=1))
 
     def test_early_stop_returns_best_checkpoint(self):
         rng = np.random.default_rng(6)
@@ -425,7 +424,7 @@ class TestFit:
             "tcfg = TrainConfig(epochs=3, patience=3, seed=7)\n"
             "print(json.dumps(fit(corpus, cfg, tcfg, timer=faults)[1].seconds))\n"
         )
-        per_epoch = run_fresh(script)
+        per_epoch = json.loads(run_fresh(script, timeout=300).stdout)
         assert len(per_epoch) == 3
         assert all(faults < 1000 for faults in per_epoch[1:]), per_epoch
 
@@ -452,7 +451,7 @@ class TestFit:
             "    per_call.append(faults() - before)\n"
             "print(json.dumps(per_call))\n"
         )
-        per_call = run_fresh(script)
+        per_call = json.loads(run_fresh(script, timeout=300).stdout)
         assert all(faults < 1000 for faults in per_call[1:]), per_call
 
     def test_trainlog_csv_shape(self):
