@@ -128,7 +128,6 @@ def _write_manifest(path, payload) -> None:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="seqfilt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    # the flags that several commands take, each declared once
     out = _Parser(add_help=False)
     out.add_argument("--out", required=True)
     out.add_argument("--force", action="store_true")
